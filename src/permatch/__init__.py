@@ -8,10 +8,9 @@ utilities, and a seeded Monte Carlo experiment harness with a CLI.
 from .assignment import (
     AssignmentSolution,
     CostMatrix,
+    certify,
     solve_bruteforce,
     solve_hungarian,
-    solve_rectangular,
-    verify_birkhoff_optimality,
 )
 from .estimators import (
     GREEDY,

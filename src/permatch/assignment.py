@@ -1,10 +1,18 @@
-"""Minimum-cost assignment: an O(n m^2) shortest-augmenting-path solver,
-an exhaustive oracle, the rectangular reduction, and a randomized check of
-optimality over the doubly stochastic polytope.
+"""Minimum-cost assignment: an O(n m^2) shortest-augmenting-path solver
+that handles n <= m directly, an exhaustive oracle, and an exact
+optimality certificate by LP duality.
 
 A cost matrix has one row per item to assign (for us: second-set features)
 and one column per candidate (first-set features), n <= m.  A solution
 assigns every row to a distinct column, minimizing the selected-entry sum.
+
+Certificate: the assignment LP (every row sums to 1, every column to at
+most 1; the Birkhoff polytope when n = m) has the dual max sum(u) + sum(v)
+subject to u_i + v_j <= c_ij, and v_j <= 0 when n < m.  The
+augmenting-path solver maintains such potentials; ``certify`` checks dual
+feasibility and complementary slackness against them in O(n m), which
+proves the assignment optimal (Burkard, Dell'Amico & Martello,
+*Assignment Problems*, SIAM 2009).
 
 Tie-breaking: the exhaustive solver returns the lexicographically smallest
 optimal assignment vector.  The augmenting-path solver is only guaranteed
@@ -14,22 +22,19 @@ to agree with it on generic (tie-free) inputs; on ties, compare costs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .model import Permutation, random_permutation
+from .model import Permutation
 
 __all__ = [
     "CostMatrix",
     "AssignmentSolution",
     "solve_hungarian",
     "solve_bruteforce",
-    "solve_rectangular",
-    "verify_birkhoff_optimality",
-    "write_cost_csv",
-    "read_cost_csv",
+    "certify",
 ]
 
 _BRUTEFORCE_MAX_N = 9
@@ -65,17 +70,20 @@ class CostMatrix:
     def m(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def is_square(self) -> bool:
-        return self.n == self.m
-
 
 @dataclass(frozen=True)
 class AssignmentSolution:
-    """An assignment (row i -> column assignment.map[i]) and its total cost."""
+    """An assignment (row i -> column assignment.map[i]) and its total cost.
+
+    ``solve_hungarian`` also returns its dual potentials (one per row, one
+    per column) for ``certify``; the exhaustive oracle leaves them None.
+    They take no part in equality.
+    """
 
     assignment: Permutation
     total_cost: float
+    row_potentials: np.ndarray | None = field(default=None, compare=False)
+    col_potentials: np.ndarray | None = field(default=None, compare=False)
 
 
 def _selected_sum(entries: np.ndarray, mapping: np.ndarray) -> float:
@@ -87,7 +95,9 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
 
     Dual potentials are kept in the same floating precision as the input;
     costs are never rescaled to integers, so log- and ratio-valued costs
-    are handled as-is.  Runs in O(n m^2) time for an n x m input (O(n^3) when square).
+    are handled as-is.  Rectangular inputs (n < m) are solved directly, not
+    padded to square.  Runs in O(n m^2) time for an n x m input (O(n^3) when
+    square).  The final potentials are returned for ``certify``.
     """
     entries = cost.entries
     n, m = entries.shape
@@ -129,6 +139,8 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     return AssignmentSolution(
         assignment=Permutation(mapping, codomain=m),
         total_cost=_selected_sum(entries, mapping),
+        row_potentials=u[1:],
+        col_potentials=v[1:],
     )
 
 
@@ -157,61 +169,40 @@ def solve_bruteforce(cost: CostMatrix) -> AssignmentSolution:
     )
 
 
-def solve_rectangular(cost: CostMatrix) -> AssignmentSolution:
-    """Strictly rectangular assignment (n < m) via the square reduction.
+def certify(cost: CostMatrix, solution: AssignmentSolution) -> bool:
+    """Prove ``solution`` optimal for ``cost`` from its dual potentials.
 
-    Pads the matrix with m - n all-zero rows, solves the square problem,
-    and discards the padded rows' assignments; the zero rows absorb the
-    unused columns at no cost, so the restriction is optimal.
+    With tol = 1e-9 * max(1, max |c_ij|), checks in O(n m):
+
+    1. u_i + v_j <= c_ij + tol for every pair (dual feasibility);
+    2. |c_ij - u_i - v_j| <= tol on every matched pair (slackness);
+    3. when n < m, v_j <= tol on every column (dual feasibility of the
+       "at most one row per column" constraints);
+    4. when n < m, |v_j| <= tol on every unmatched column (slackness).
+
+    Together they bound the assignment's total cost by the optimum plus
+    2 * m * tol.  Returns False if any check fails (non-finite potentials
+    fail them all); raises ValueError if the solution carries no
+    potentials or their shapes do not match the cost matrix.
     """
+    if solution.row_potentials is None or solution.col_potentials is None:
+        raise ValueError("solution carries no dual potentials to certify")
+    u = np.asarray(solution.row_potentials, dtype=float)
+    v = np.asarray(solution.col_potentials, dtype=float)
     n, m = cost.n, cost.m
-    if n >= m:
-        raise ValueError(f"expected strictly rectangular input, got {n} x {m}")
-    padded = np.vstack([cost.entries, np.zeros((m - n, m))])
-    square = solve_hungarian(CostMatrix(padded))
-    mapping = square.assignment.map[:n]
-    return AssignmentSolution(
-        assignment=Permutation(mapping, codomain=m),
-        total_cost=_selected_sum(cost.entries, mapping),
-    )
-
-
-def verify_birkhoff_optimality(
-    cost: CostMatrix, solution: AssignmentSolution, trials: int, seed: int
-) -> bool:
-    """Randomized check that no doubly stochastic matrix beats the solution.
-
-    Permutation matrices are the vertices of the doubly stochastic polytope,
-    so the linear cost <C, W> is minimized at a permutation matrix; if the
-    given solution is optimal, every sampled W (a normalized random convex
-    combination of random permutation matrices) must score at least as high,
-    up to a 1e-9 slack.  Returns False as soon as a sample scores lower.
-    """
-    if not cost.is_square:
-        raise ValueError("the doubly stochastic check needs a square cost matrix")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    n = cost.n
+    mapping = solution.assignment.map
+    if u.shape != (n,) or v.shape != (m,) or mapping.shape != (n,) or solution.assignment.codomain != m:
+        raise ValueError(
+            f"potentials of shapes {u.shape}, {v.shape} and a {mapping.size}-row "
+            f"assignment do not fit a {n} x {m} cost matrix"
+        )
     entries = cost.entries
-    baseline = _selected_sum(entries, solution.assignment.map)
-    rng = np.random.default_rng(seed)
-    n_components = max(2, n)
-    rows = np.arange(n)
-    for _ in range(trials):
-        weights = rng.random(n_components)
-        weights /= weights.sum()
-        w = np.zeros((n, n))
-        for weight in weights:
-            w[rows, random_permutation(rng, n).map] += weight
-        if float((entries * w).sum()) < baseline - 1e-9:
-            return False
+    tol = 1e-9 * max(1.0, float(np.abs(entries).max()))
+    reduced = entries - u[:, None] - v[None, :]
+    if not (np.all(reduced >= -tol) and np.all(np.abs(reduced[np.arange(n), mapping]) <= tol)):
+        return False
+    if n < m:
+        unmatched = np.ones(m, dtype=bool)
+        unmatched[mapping] = False
+        return bool(np.all(v <= tol) and np.all(np.abs(v[unmatched]) <= tol))
     return True
-
-
-def write_cost_csv(cost: CostMatrix, path) -> None:
-    """Plain rectangular numeric CSV, no header; for debugging dumps."""
-    np.savetxt(path, cost.entries, delimiter=",", fmt="%.17g")
-
-
-def read_cost_csv(path) -> CostMatrix:
-    return CostMatrix(np.atleast_2d(np.loadtxt(path, delimiter=",")))

@@ -22,7 +22,7 @@ import math
 import sys
 
 from . import harness, model, permgroup
-from .estimators import EstimatorKind, estimate
+from .estimators import ESTIMATOR_NAMES, EstimatorKind, estimate
 from .metrics import (
     minimax_separation_rate,
     mismatch_probability_bound,
@@ -161,8 +161,7 @@ def _build_parser() -> _Parser:
     p_match = sub.add_parser("match", help="match two CSV feature files")
     p_match.add_argument("first", help="CSV of the reference feature set (rows id,x1,...,xd[,sigma])")
     p_match.add_argument("second", help="CSV of the feature set to match against the first")
-    p_match.add_argument("--estimator", default="lsl",
-                         choices=["greedy", "lss", "lsns", "lsl", "variance-greedy"])
+    p_match.add_argument("--estimator", default="lsl", choices=ESTIMATOR_NAMES)
     p_match.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p_match.set_defaults(func=_cmd_match)
 

@@ -47,6 +47,7 @@ __all__ = [
     "LSNS",
     "LSL",
     "VARIANCE_GREEDY",
+    "ESTIMATOR_NAMES",
     "cost_lss",
     "cost_lsns",
     "cost_lsl",
@@ -114,6 +115,11 @@ class CriterionReduction:
         return cls(B=eye, V=eye, V_sharp=eye, b=zero, b_sharp=zero)
 
 
+# Estimators selectable by name (CLI, config files); general-lsl also needs
+# a criterion reduction, so it is built only through EstimatorKind.general_lsl.
+ESTIMATOR_NAMES = ("greedy", "lss", "lsns", "lsl", "variance-greedy")
+
+
 @dataclass(frozen=True)
 class EstimatorKind:
     """A named estimator; ``general_lsl`` additionally carries its reduction."""
@@ -121,7 +127,7 @@ class EstimatorKind:
     tag: str
     reduction: CriterionReduction | None = None
 
-    _TAGS = ("greedy", "lss", "lsns", "lsl", "variance-greedy", "general-lsl")
+    _TAGS = ESTIMATOR_NAMES + ("general-lsl",)
 
     def __post_init__(self):
         if self.tag not in self._TAGS:
@@ -186,12 +192,16 @@ def cost_lsns(instance: MatchInstance) -> CostMatrix:
     return CostMatrix(sq / denom)
 
 
-def cost_lsl(instance: MatchInstance, floor: float = DEFAULT_SQDIST_FLOOR) -> CostMatrix:
-    """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, floor))."""
+def _floored_log(sq: np.ndarray, floor: float) -> CostMatrix:
+    """Costs log(max(sq, floor)), for a positive finite ``floor``."""
     if not (floor > 0 and math.isfinite(floor)):
         raise ValueError(f"floor must be positive and finite, got {floor}")
-    sq = _pairwise_sqdist(instance.second.vectors, instance.first.vectors)
     return CostMatrix(np.log(np.maximum(sq, floor)))
+
+
+def cost_lsl(instance: MatchInstance, floor: float = DEFAULT_SQDIST_FLOOR) -> CostMatrix:
+    """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, floor))."""
+    return _floored_log(_pairwise_sqdist(instance.second.vectors, instance.first.vectors), floor)
 
 
 def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
@@ -241,8 +251,6 @@ def cost_general_lsl(
     both terms of M coincide and M^+ halves the residual, a pure monotone
     rescaling of plain LSL in the transformed space.
     """
-    if not (floor > 0 and math.isfinite(floor)):
-        raise ValueError(f"floor must be positive and finite, got {floor}")
     if reduction.V.shape[1] != instance.first.d or reduction.V_sharp.shape[1] != instance.second.d:
         raise ValueError(
             f"reduction expects ambient dimensions ({reduction.V.shape[1]}, "
@@ -255,8 +263,19 @@ def cost_general_lsl(
     M_pinv = np.linalg.pinv(M)
     lhs = first_t @ M_pinv.T
     rhs = (second_t @ B.T) @ M_pinv.T
-    sq = _pairwise_sqdist(rhs, lhs)
-    return CostMatrix(np.log(np.maximum(sq, floor)))
+    return _floored_log(_pairwise_sqdist(rhs, lhs), floor)
+
+
+def _greedy_rows(scores: np.ndarray) -> Permutation:
+    """Each row in index order takes its smallest untaken column; ties go to the lowest index."""
+    n2, n1 = scores.shape
+    taken = np.zeros(n1, dtype=bool)
+    mapping = np.empty(n2, dtype=np.int64)
+    for i in range(n2):
+        j = int(np.argmin(np.where(taken, np.inf, scores[i])))
+        mapping[i] = j
+        taken[j] = True
+    return Permutation(mapping, codomain=n1)
 
 
 def estimate_greedy(instance: MatchInstance) -> Permutation:
@@ -264,15 +283,7 @@ def estimate_greedy(instance: MatchInstance) -> Permutation:
 
     Ties go to the smallest first-set index.
     """
-    sq = _pairwise_sqdist(instance.second.vectors, instance.first.vectors)
-    n2, n1 = sq.shape
-    taken = np.zeros(n1, dtype=bool)
-    mapping = np.empty(n2, dtype=np.int64)
-    for i in range(n2):
-        j = int(np.argmin(np.where(taken, np.inf, sq[i])))
-        mapping[i] = j
-        taken[j] = True
-    return Permutation(mapping, codomain=n1)
+    return _greedy_rows(_pairwise_sqdist(instance.second.vectors, instance.first.vectors))
 
 
 def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
@@ -287,16 +298,7 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
         raise ValueError("variance-greedy needs known first-set noise levels")
     levels = instance.first_noise.levels_for(instance.first.n)
     sq = _pairwise_sqdist(instance.second.vectors, instance.first.vectors)
-    n2, n1 = sq.shape
-    d = instance.first.d
-    taken = np.zeros(n1, dtype=bool)
-    mapping = np.empty(n2, dtype=np.int64)
-    for j in range(n2):
-        crit = np.abs(sq[j] / (2.0 * d) - levels**2)
-        i = int(np.argmin(np.where(taken, np.inf, crit)))
-        mapping[j] = i
-        taken[i] = True
-    return Permutation(mapping, codomain=n1)
+    return _greedy_rows(np.abs(sq / (2.0 * instance.first.d) - levels[None, :] ** 2))
 
 
 def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:

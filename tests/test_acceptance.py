@@ -30,6 +30,7 @@ from permatch import (
     Permutation,
     aggregate,
     ball_cardinality,
+    certify,
     chi2_tail_bound,
     derangement_count,
     estimate,
@@ -61,26 +62,32 @@ def _mean_losses(records, estimator):
 
 
 # ---------------------------------------------------------------------------
-# 1. assignment solver vs exhaustive oracle, integer inputs, exact equality
+# 1. assignment solver vs exhaustive oracle, integer inputs, exact equality,
+#    and the solver's own LP-duality certificate on every matrix
 # ---------------------------------------------------------------------------
 
 def test_assignment_oracle_equivalence():
     start = time.time()
     rng = np.random.default_rng(20240001)
     mismatches = 0
+    uncertified = 0
     for n in range(2, 8):
         for _ in range(1000):
             cost = CostMatrix(rng.integers(0, 100, size=(n, n)).astype(float))
-            if solve_hungarian(cost).total_cost != solve_bruteforce(cost).total_cost:
+            solution = solve_hungarian(cost)
+            if solution.total_cost != solve_bruteforce(cost).total_cost:
                 mismatches += 1
+            if not certify(cost, solution):
+                uncertified += 1
     elapsed = time.time() - start
-    ok = mismatches == 0 and elapsed < 60
+    ok = mismatches == 0 and uncertified == 0 and elapsed < 60
     _report(
         "assignment-oracle-equivalence",
         ok,
-        f"6000 integer matrices, {mismatches} mismatches, {elapsed:.1f}s",
+        f"6000 integer matrices, {mismatches} mismatches, {uncertified} uncertified, {elapsed:.1f}s",
     )
     assert mismatches == 0
+    assert uncertified == 0
     assert elapsed < 60
 
 

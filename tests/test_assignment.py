@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,10 @@ from permatch import (
     AssignmentSolution,
     CostMatrix,
     Permutation,
+    certify,
     solve_bruteforce,
     solve_hungarian,
-    solve_rectangular,
-    verify_birkhoff_optimality,
 )
-from permatch.assignment import read_cost_csv, write_cost_csv
 
 
 def test_cost_matrix_validation():
@@ -67,6 +67,7 @@ def test_seeded_real_matrices_match_bruteforce():
             h = solve_hungarian(cost)
             b = solve_bruteforce(cost)
             assert h.total_cost == pytest.approx(b.total_cost, rel=1e-9, abs=1e-9)
+            assert certify(cost, h)
 
 
 def test_bruteforce_guard():
@@ -96,21 +97,19 @@ def test_row_permutation_equivariance():
 
 
 def test_rectangular_examples():
-    sol = solve_rectangular(CostMatrix([[3.0, 1.0, 2.0]]))
+    sol = solve_hungarian(CostMatrix([[3.0, 1.0, 2.0]]))
     assert sol.assignment == Permutation([1], codomain=3)
     assert sol.total_cost == 1.0
-    sol = solve_rectangular(CostMatrix([[0.0, 9.0, 9.0], [9.0, 9.0, 0.0]]))
+    sol = solve_hungarian(CostMatrix([[0.0, 9.0, 9.0], [9.0, 9.0, 0.0]]))
     assert sol.assignment == Permutation([0, 2], codomain=3)
     assert sol.total_cost == 0.0
-    with pytest.raises(ValueError):
-        solve_rectangular(CostMatrix(np.zeros((2, 2))))
 
 
 def test_rectangular_matches_exhaustive_injections():
     rng = np.random.default_rng(31)
     for _ in range(50):
         cost = CostMatrix(rng.normal(size=(4, 6)))
-        r = solve_rectangular(cost)
+        r = solve_hungarian(cost)
         b = solve_bruteforce(cost)  # scans all 360 injections
         assert r.total_cost == pytest.approx(b.total_cost, rel=1e-12, abs=1e-12)
 
@@ -121,33 +120,98 @@ def test_rectangular_consistency_with_blocked_square():
     for _ in range(25):
         block = rng.normal(size=(5, 5))
         padded = np.hstack([block, np.full((5, 3), large)])
-        sol_rect = solve_rectangular(CostMatrix(padded))
+        sol_rect = solve_hungarian(CostMatrix(padded))
         sol_square = solve_hungarian(CostMatrix(block))
         assert sol_rect.total_cost == pytest.approx(sol_square.total_cost, rel=1e-12)
         assert sol_rect.assignment.map.tolist() == sol_square.assignment.map.tolist()
 
 
-def test_birkhoff_check_accepts_optimum():
+def test_certificate_accepts_optimum():
     rng = np.random.default_rng(5)
-    cost = CostMatrix(rng.normal(size=(6, 6)))
-    sol = solve_hungarian(cost)
-    assert verify_birkhoff_optimality(cost, sol, trials=10_000, seed=11)
+    for shape in ((1, 1), (6, 6), (5, 9), (40, 40), (30, 70)):
+        for scale in (1.0, 1e3, 1e12):  # the tolerance scales with the costs
+            cost = CostMatrix(rng.normal(size=shape) * scale)
+            sol = solve_hungarian(cost)
+            assert sol.row_potentials.shape == (shape[0],) and sol.col_potentials.shape == (shape[1],)
+            assert certify(cost, sol), (shape, scale)
+    # log costs spanning the default LSL floor, as the LSL estimator builds them
+    sq = rng.random((20, 25))
+    sq[3, 4] = 0.0
+    cost = CostMatrix(np.log(np.maximum(sq, 1e-30)))
+    assert certify(cost, solve_hungarian(cost))
 
 
-def test_birkhoff_check_rejects_suboptimal():
+def test_certificate_rejects_swapped_rows():
+    rng = np.random.default_rng(11)
+    for shape in ((2, 2), (6, 6), (4, 7)):
+        for _ in range(100):
+            cost = CostMatrix(rng.normal(size=shape))
+            sol = solve_hungarian(cost)
+            swapped = sol.assignment.map.copy()
+            swapped[[0, 1]] = swapped[[1, 0]]
+            bad = dataclasses.replace(sol, assignment=Permutation(swapped, codomain=shape[1]))
+            assert not certify(cost, bad)
+            # potentials made tight on the swapped pairs: only dual feasibility fails
+            tight = dataclasses.replace(
+                bad, row_potentials=cost.entries[np.arange(shape[0]), swapped], col_potentials=np.zeros(shape[1])
+            )
+            assert not certify(cost, tight)
     cost = CostMatrix([[5.0, 1.0], [1.0, 5.0]])
-    bad = AssignmentSolution(assignment=Permutation([0, 1]), total_cost=10.0)
-    assert not verify_birkhoff_optimality(cost, bad, trials=200, seed=1)
+    bad = dataclasses.replace(solve_hungarian(cost), assignment=Permutation([0, 1]))
+    assert not certify(cost, bad)
 
 
-def test_birkhoff_check_trivial_and_errors():
-    cost = CostMatrix([[2.0]])
+def test_certificate_needs_nonpositive_column_potentials():
+    # Feasible and slack-tight, but column 0's potential is positive: [0] costs
+    # 1 while [1] costs 0.  Only the v_j <= 0 clause catches it.
+    cost = CostMatrix([[1.0, 0.0]])
+    bad = AssignmentSolution(
+        assignment=Permutation([0], codomain=2),
+        total_cost=1.0,
+        row_potentials=np.array([0.0]),
+        col_potentials=np.array([1.0, 0.0]),
+    )
+    assert not certify(cost, bad)
+    good = solve_hungarian(cost)
+    assert good.assignment == Permutation([1], codomain=2)
+    assert certify(cost, good)
+
+
+def test_certificate_rejects_perturbed_potentials():
+    rng = np.random.default_rng(19)
+    cost = CostMatrix(rng.normal(size=(6, 8)) * 100.0)
     sol = solve_hungarian(cost)
-    assert verify_birkhoff_optimality(cost, sol, trials=5, seed=0)
+    tol = 1e-9 * np.abs(cost.entries).max()
+    for which in ("row_potentials", "col_potentials"):
+        for index in (0, -1):
+            for sign in (1.0, -1.0):
+                potentials = getattr(sol, which).copy()
+                potentials[index] += sign * 10.0 * tol
+                perturbed = dataclasses.replace(sol, **{which: potentials})
+                assert not certify(cost, perturbed), (which, index, sign)
+    nan_rows = dataclasses.replace(sol, row_potentials=np.full(6, np.nan))
+    assert not certify(cost, nan_rows)
+
+
+def test_certificate_errors():
+    cost = CostMatrix([[2.0, 1.0], [1.0, 2.0]])
+    sol = solve_hungarian(cost)
     with pytest.raises(ValueError):
-        verify_birkhoff_optimality(CostMatrix(np.zeros((1, 2))), sol, trials=1, seed=0)
+        certify(cost, solve_bruteforce(cost))  # the oracle carries no potentials
     with pytest.raises(ValueError):
-        verify_birkhoff_optimality(cost, sol, trials=0, seed=0)
+        certify(cost, dataclasses.replace(sol, row_potentials=None))
+    with pytest.raises(ValueError):
+        certify(cost, dataclasses.replace(sol, col_potentials=np.zeros(3)))
+    with pytest.raises(ValueError):
+        certify(CostMatrix(np.zeros((2, 3))), sol)
+
+
+def test_potentials_do_not_affect_equality():
+    cost = CostMatrix([[5.0, 1.0], [1.0, 5.0]])
+    sol = solve_hungarian(cost)
+    bare = AssignmentSolution(assignment=sol.assignment, total_cost=sol.total_cost)
+    assert sol == bare
+    assert sol == solve_bruteforce(cost)
 
 
 def test_total_cost_equals_selected_sum():
@@ -156,12 +220,3 @@ def test_total_cost_equals_selected_sum():
     sol = solve_hungarian(cost)
     manual = sum(cost.entries[i, j] for i, j in enumerate(sol.assignment.map))
     assert sol.total_cost == pytest.approx(manual, rel=1e-12)
-
-
-def test_cost_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    cost = CostMatrix(rng.normal(size=(3, 5)))
-    path = tmp_path / "cost.csv"
-    write_cost_csv(cost, path)
-    back = read_cost_csv(path)
-    np.testing.assert_allclose(back.entries, cost.entries, rtol=0, atol=0)
