@@ -8,6 +8,11 @@ assignment over such a matrix yields pi with pi(i) = the first-set index
 matched to the i-th second-set feature, which is exactly how a ground-truth
 permutation is stored on a MatchInstance.
 
+Every cost is a transform of one distance matrix, the instance's
+``sqdist`` (entry (i, j) = ||X_j - X#_i||^2), which is computed once per
+instance and shared by all estimators run on it; general LSL, which
+compares transformed features, calls the same kernel, ``pairwise_sqdist``.
+
 The estimators:
 
 - greedy: sequential nearest neighbor without replacement, second-set
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import CostMatrix, solve_hungarian
-from .model import MatchInstance, Permutation
+from .model import MatchInstance, Permutation, pairwise_sqdist
 
 __all__ = [
     "DEFAULT_SQDIST_FLOOR",
@@ -158,21 +163,9 @@ LSL = EstimatorKind("lsl")
 VARIANCE_GREEDY = EstimatorKind("variance-greedy")
 
 
-def _pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Squared distances, entry (i, j) = ||first[j] - second[i]||^2.
-
-    Streams one second-set row at a time: no cancellation-prone expansion
-    and no (n x m x d) intermediate.
-    """
-    out = np.empty((second.shape[0], first.shape[0]))
-    for i in range(second.shape[0]):
-        out[i] = np.square(first - second[i]).sum(axis=1)
-    return out
-
-
 def cost_lss(instance: MatchInstance) -> CostMatrix:
     """Squared-distance costs: entry (i, j) = ||X_j - X#_i||^2."""
-    return CostMatrix(_pairwise_sqdist(instance.second.vectors, instance.first.vectors))
+    return CostMatrix(instance.sqdist)
 
 
 def _instance_levels(instance: MatchInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +180,8 @@ def _instance_levels(instance: MatchInstance) -> tuple[np.ndarray, np.ndarray]:
 def cost_lsns(instance: MatchInstance) -> CostMatrix:
     """Noise-normalized costs: entry (i, j) = ||X_j - X#_i||^2 / (s_j^2 + s#_i^2)."""
     first_levels, second_levels = _instance_levels(instance)
-    sq = _pairwise_sqdist(instance.second.vectors, instance.first.vectors)
     denom = first_levels[None, :] ** 2 + second_levels[:, None] ** 2
-    return CostMatrix(sq / denom)
+    return CostMatrix(instance.sqdist / denom)
 
 
 def _floored_log(sq: np.ndarray, floor: float) -> CostMatrix:
@@ -201,7 +193,7 @@ def _floored_log(sq: np.ndarray, floor: float) -> CostMatrix:
 
 def cost_lsl(instance: MatchInstance, floor: float = DEFAULT_SQDIST_FLOOR) -> CostMatrix:
     """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, floor))."""
-    return _floored_log(_pairwise_sqdist(instance.second.vectors, instance.first.vectors), floor)
+    return _floored_log(instance.sqdist, floor)
 
 
 def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
@@ -263,7 +255,7 @@ def cost_general_lsl(
     M_pinv = np.linalg.pinv(M)
     lhs = first_t @ M_pinv.T
     rhs = (second_t @ B.T) @ M_pinv.T
-    return _floored_log(_pairwise_sqdist(rhs, lhs), floor)
+    return _floored_log(pairwise_sqdist(rhs, lhs), floor)
 
 
 def _greedy_rows(scores: np.ndarray) -> Permutation:
@@ -283,7 +275,7 @@ def estimate_greedy(instance: MatchInstance) -> Permutation:
 
     Ties go to the smallest first-set index.
     """
-    return _greedy_rows(_pairwise_sqdist(instance.second.vectors, instance.first.vectors))
+    return _greedy_rows(instance.sqdist)
 
 
 def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
@@ -297,8 +289,7 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
     if instance.first_noise is None:
         raise ValueError("variance-greedy needs known first-set noise levels")
     levels = instance.first_noise.levels_for(instance.first.n)
-    sq = _pairwise_sqdist(instance.second.vectors, instance.first.vectors)
-    return _greedy_rows(np.abs(sq / (2.0 * instance.first.d) - levels[None, :] ** 2))
+    return _greedy_rows(np.abs(instance.sqdist / (2.0 * instance.first.d) - levels[None, :] ** 2))
 
 
 def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:

@@ -95,6 +95,14 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+        # aggregate() keys cells by (sweep value, estimator), so a repeat
+        # would merge identical records into one cell and shrink its
+        # standard error.
+        tags = [kind.tag for kind in self.estimators]
+        if len(set(tags)) != len(tags):
+            raise ValueError(f"duplicate estimators in {tags}")
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ValueError(f"duplicate sweep values in {list(self.sweep)}")
         for kind in self.estimators:
             if kind.tag == "general-lsl":
                 raise ValueError("general-lsl is not configurable through experiment configs")
@@ -127,7 +135,10 @@ class TrialRecord:
     loss_hamming: float
     kappa: float
     kappa_bar: float
-    wall_time: float = field(compare=False)  # informational only, never gated
+    # Seconds in estimate(), informational only, never gated.  The first
+    # estimator of a trial also pays for the instance's shared distance
+    # matrix, which the later ones reuse.
+    wall_time: float = field(compare=False)
 
 
 def _trial_streams(seed: int, global_index: int) -> tuple[int, int, int]:

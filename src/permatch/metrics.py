@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeatureSet, NoiseSpec, Permutation
+from .model import FeatureSet, NoiseSpec, Permutation, pairwise_sqdist
 
 __all__ = [
     "SeparationReport",
@@ -73,28 +73,27 @@ class SeparationReport:
 
 
 def separation(theta: FeatureSet, noise: NoiseSpec) -> SeparationReport:
-    """Exact minima over all feature pairs, by full pairwise scan."""
+    """Exact minima over all feature pairs.
+
+    Takes the distances of the pairs i < j from the shared kernel
+    ``pairwise_sqdist`` in row-major order, so ``argmin`` picks, on ties,
+    the pair with the smallest i and then the smallest j.
+    """
     n = theta.n
     if n < 2:
         raise ValueError("separation needs at least two features")
     levels = noise.levels_for(n)
     v = theta.vectors
-    best = (math.inf, (0, 1))
-    best_rel = (math.inf, (0, 1))
-    for i in range(n - 1):
-        dists = np.sqrt(np.square(v[i + 1 :] - v[i]).sum(axis=1))
-        j = int(np.argmin(dists))
-        if dists[j] < best[0]:
-            best = (float(dists[j]), (i, i + 1 + j))
-        ratios = dists / np.sqrt(levels[i + 1 :] ** 2 + levels[i] ** 2)
-        j = int(np.argmin(ratios))
-        if ratios[j] < best_rel[0]:
-            best_rel = (float(ratios[j]), (i, i + 1 + j))
+    rows, cols = np.triu_indices(n, 1)
+    dists = np.sqrt(pairwise_sqdist(v, v)[rows, cols])
+    ratios = dists / np.sqrt(levels[cols] ** 2 + levels[rows] ** 2)
+    k = int(np.argmin(dists))
+    k_rel = int(np.argmin(ratios))
     return SeparationReport(
-        kappa=best[0],
-        kappa_bar=best_rel[0],
-        argmin_pair=best[1],
-        argmin_pair_rel=best_rel[1],
+        kappa=float(dists[k]),
+        kappa_bar=float(ratios[k_rel]),
+        argmin_pair=(int(rows[k]), int(cols[k])),
+        argmin_pair_rel=(int(rows[k_rel]), int(cols[k_rel])),
     )
 
 

@@ -17,6 +17,13 @@ Conventions
 - All generators are pure functions of their arguments including ``seed``.
   Gaussian draws go through a Box-Muller transform of the PCG64 uniform
   stream so instances are reproducible byte-for-byte across runs.
+
+Distances
+---------
+``pairwise_sqdist`` is the one feature-to-feature distance kernel: every
+estimator cost and the template separation are transforms of its output.
+``MatchInstance.sqdist`` holds its result for an instance, computed on
+first use and then shared by every estimator run on that instance.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +42,7 @@ __all__ = [
     "Permutation",
     "MatchInstance",
     "HypothesisRangeWarning",
+    "pairwise_sqdist",
     "standard_gaussian",
     "random_permutation",
     "generate_instance",
@@ -216,6 +225,27 @@ class Permutation:
         return f"Permutation({self.map.tolist()}, codomain={self.codomain})"
 
 
+# Elements per block of first-set rows in pairwise_sqdist (256 KiB of
+# float64): the per-block temporary stays in cache however large d is.
+_SQDIST_BLOCK = 2**15
+
+
+def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Squared distances, entry (i, j) = ||first[j] - second[i]||^2.
+
+    Streams each second-set row against blocks of first-set rows: no
+    cancellation-prone ||a||^2 + ||b||^2 - 2 a.b expansion and no
+    (n x m x d) intermediate.  Each entry is one sum over d, reduced in the
+    same order whatever the block length.
+    """
+    out = np.empty((second.shape[0], first.shape[0]))
+    step = max(1, _SQDIST_BLOCK // first.shape[1])
+    for i, row in enumerate(second):
+        for j in range(0, first.shape[0], step):
+            out[i, j : j + step] = np.square(first[j : j + step] - row).sum(axis=1)
+    return out
+
+
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
     """Uniform draw from the symmetric group by Fisher-Yates."""
     a = np.arange(n)
@@ -261,6 +291,15 @@ class MatchInstance:
     @property
     def is_square(self) -> bool:
         return self.first.n == self.second.n
+
+    @cached_property
+    def sqdist(self) -> np.ndarray:
+        """Read-only squared distances, entry (i, j) = ||first[j] - second[i]||^2.
+
+        Computed on first access and kept; safe on the frozen instance
+        because both feature matrices are read-only.
+        """
+        return _readonly(pairwise_sqdist(self.second.vectors, self.first.vectors))
 
 
 def generate_instance(

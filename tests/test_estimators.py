@@ -63,14 +63,18 @@ def test_cost_lss_identical_sets_zero_diagonal():
 
 
 def test_cost_lss_matches_naive_double_loop():
-    inst, _ = _instance(7, 5, 1.0, seed=3)
-    entries = cost_lss(inst).entries
-    for i in range(7):
-        for j in range(7):
-            expected = float(
-                np.sum((inst.first.vectors[j] - inst.second.vectors[i]) ** 2)
-            )
-            assert entries[i, j] == pytest.approx(expected, rel=1e-12)
+    # d = 5000 streams 13 first-set rows in blocks of 6, 6 and 1
+    rng = np.random.default_rng(4)
+    cases = [
+        _instance(7, 5, 1.0, seed=3)[0],
+        _manual_instance(rng.normal(size=(13, 5000)), rng.normal(size=(9, 5000))),
+    ]
+    for inst in cases:
+        entries = cost_lss(inst).entries
+        for i in range(inst.second.n):
+            for j in range(inst.first.n):
+                expected = np.sum((inst.first.vectors[j] - inst.second.vectors[i]) ** 2)
+                assert entries[i, j] == expected
 
 
 def test_cost_lsns_homoscedastic_is_half_lss():

@@ -46,6 +46,10 @@ def test_config_validation():
         _config(scenario="greedy-adversarial", sweep=(0.0,))
     with pytest.raises(ValueError):
         _config(scenario="custom", sigma_levels=(1.0, 2.0))  # wrong length
+    with pytest.raises(ValueError, match="duplicate estimators"):
+        _config(estimators=(EstimatorKind("lss"), EstimatorKind("lss")))
+    with pytest.raises(ValueError, match="duplicate sweep values"):
+        _config(sweep=(2.0, 4.0, 2.0))
 
 
 def test_high_count_default_scales_with_n():
@@ -59,6 +63,27 @@ def test_high_count_default_scales_with_n():
 def test_run_experiment_deterministic():
     config = _config()
     assert run_experiment(config) == run_experiment(config)
+
+
+def test_distance_matrix_built_once_per_instance(monkeypatch):
+    from permatch import estimators, model
+
+    calls = []
+    kernel = model.pairwise_sqdist
+
+    def counting(second, first):
+        calls.append(second.shape)
+        return kernel(second, first)
+
+    # metrics.separation keeps its own reference: template distances are
+    # not the instance's
+    monkeypatch.setattr(model, "pairwise_sqdist", counting)
+    monkeypatch.setattr(estimators, "pairwise_sqdist", counting)
+    kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl"))
+    config = _config(estimators=kinds)
+    records = run_experiment(config)
+    assert len(records) == len(config.sweep) * config.trials * len(kinds)
+    assert len(calls) == len(config.sweep) * config.trials
 
 
 def test_run_experiment_records_shape():

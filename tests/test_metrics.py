@@ -89,6 +89,26 @@ def test_separation_duplicate_feature():
     assert rep.argmin_pair == (0, 2)
 
 
+def test_separation_ties_go_to_the_first_pair_in_row_major_order():
+    # kappa = 1 at (1, 2) and (5, 6); kappa_bar = 2 / sqrt(512) at (3, 4)
+    # and (7, 8); every other pair is at least 98 apart.
+    positions = [0.0, 100.0, 101.0, 200.0, 202.0, 300.0, 301.0, 400.0, 402.0]
+    levels = [1.0, 4.0, 4.0, 16.0, 16.0, 4.0, 4.0, 16.0, 16.0]
+    rep = separation(FeatureSet([[x] for x in positions]), NoiseSpec.heteroscedastic(levels))
+    assert rep.kappa == 1.0
+    assert rep.argmin_pair == (1, 2)
+    assert rep.kappa_bar == 2.0 / math.sqrt(512.0)
+    assert rep.argmin_pair_rel == (3, 4)
+    # the same pairs when the tied pairs trade places in index order
+    order = [0, 5, 6, 7, 8, 1, 2, 3, 4]
+    rep = separation(
+        FeatureSet([[positions[k]] for k in order]),
+        NoiseSpec.heteroscedastic([levels[k] for k in order]),
+    )
+    assert rep.argmin_pair == (1, 2)
+    assert rep.argmin_pair_rel == (3, 4)
+
+
 def test_separation_least_favorable_is_kappa():
     theta = least_favorable_features([0.5, 1.0, 1.5, 2.0], 1.25, d=2)
     rep = separation(theta, NoiseSpec.heteroscedastic([0.5, 1.0, 1.5, 2.0]))

@@ -279,6 +279,19 @@ def test_match_instance_validation():
         MatchInstance(first=big, second=small, truth=Permutation.identity(2))
 
 
+def test_match_instance_sqdist_is_read_only_and_cached():
+    inst = MatchInstance(
+        first=FeatureSet([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]),
+        second=FeatureSet([[0.0, 0.0], [1.0, 0.0]]),
+    )
+    sq = inst.sqdist
+    np.testing.assert_array_equal(sq, [[0.0, 25.0, 2.0], [1.0, 20.0, 1.0]])
+    assert inst.sqdist is sq
+    assert not sq.flags.writeable
+    with pytest.raises(ValueError):
+        sq[0, 0] = 1.0
+
+
 def test_feature_set_validation():
     with pytest.raises(ValueError):
         FeatureSet(np.array([[np.inf, 0.0]]))
