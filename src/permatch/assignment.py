@@ -6,13 +6,18 @@ A cost matrix has one row per item to assign (for us: second-set features)
 and one column per candidate (first-set features), n <= m.  A solution
 assigns every row to a distinct column, minimizing the selected-entry sum.
 
+Solver: each row is placed by a Dijkstra search for the shortest
+augmenting path over reduced costs c_ij - u_i - v_j, scanning columns by
+path length (lowest index on ties), with the duals settled once per
+augmentation (Jonker & Volgenant, *Computing* 38, 1987; Crouse, "On
+implementing 2D rectangular assignment algorithms", IEEE TAES, 2016).
+
 Certificate: the assignment LP (every row sums to 1, every column to at
 most 1; the Birkhoff polytope when n = m) has the dual max sum(u) + sum(v)
-subject to u_i + v_j <= c_ij, and v_j <= 0 when n < m.  The
-augmenting-path solver maintains such potentials; ``certify`` checks dual
-feasibility and complementary slackness against them in O(n m), which
-proves the assignment optimal (Burkard, Dell'Amico & Martello,
-*Assignment Problems*, SIAM 2009).
+subject to u_i + v_j <= c_ij, and v_j <= 0 when n < m.  The solver keeps
+such potentials; ``certify`` checks dual feasibility and complementary
+slackness against them in O(n m), which proves the assignment optimal
+(Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009).
 
 Tie-breaking: the exhaustive solver returns the lexicographically smallest
 optimal assignment vector.  The augmenting-path solver is only guaranteed
@@ -93,54 +98,47 @@ def _selected_sum(entries: np.ndarray, mapping: np.ndarray) -> float:
 def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     """Exact minimum-cost assignment by shortest augmenting paths.
 
-    Dual potentials are kept in the same floating precision as the input;
-    costs are never rescaled to integers, so log- and ratio-valued costs
-    are handled as-is.  Rectangular inputs (n < m) are solved directly, not
-    padded to square.  Runs in O(n m^2) time for an n x m input (O(n^3) when
-    square).  The final potentials are returned for ``certify``.
+    Potentials keep the input's floating precision (log- and ratio-valued
+    costs are used as-is) and are returned for ``certify``.
     """
     entries = cost.entries
     n, m = entries.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=np.int64)  # p[j]: 1-based row matched to column j; 0 = free
-    way = np.zeros(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
+    u = np.zeros(n)
+    v = np.zeros(m)
+    col_of = np.full(n, -1, dtype=np.int64)  # row -> matched column
+    row_of = np.full(m, -1, dtype=np.int64)  # column -> matched row; -1 = free
+    for start in range(n):
+        dist = np.full(m, np.inf)  # shortest reduced path length to each column
+        prev = np.empty(m, dtype=np.int64)  # row before each column on that path
+        done = np.zeros(m, dtype=bool)  # scanned columns
+        tree = []  # matched rows reached from start
+        i, low = start, 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = entries[i0 - 1] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            if better.any():
-                minv[1:][better] = cur[better]
-                way[1:][better] = j0
-            cand = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(cand)) + 1
-            delta = cand[j1 - 1]
-            u[p[used]] += delta  # rows on the alternating tree are distinct
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            reduced = entries[i] - v
+            reduced += low - u[i]
+            better = (reduced < dist) & ~done
+            np.copyto(dist, reduced, where=better)
+            prev[better] = i
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            low = dist[j]
+            done[j] = True
+            if row_of[j] < 0:
                 break
-        while j0:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
-    mapping = np.empty(n, dtype=np.int64)
-    for j in range(1, m + 1):
-        if p[j] > 0:
-            mapping[p[j] - 1] = j - 1
+            i = row_of[j]
+            tree.append(i)
+        # dist <= low on scanned columns, so v only falls; never-scanned (unmatched) columns keep v = 0
+        u[start] += low
+        u[tree] += low - dist[col_of[tree]]
+        v[done] -= low - dist[done]
+        while j >= 0:  # flip the path back through prev; start's column is -1
+            i = prev[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
     return AssignmentSolution(
-        assignment=Permutation(mapping, codomain=m),
-        total_cost=_selected_sum(entries, mapping),
-        row_potentials=u[1:],
-        col_potentials=v[1:],
+        assignment=Permutation(col_of, codomain=m),
+        total_cost=_selected_sum(entries, col_of),
+        row_potentials=u,
+        col_potentials=v,
     )
 
 

@@ -101,6 +101,10 @@ class ExperimentConfig:
         tags = [kind.tag for kind in self.estimators]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate estimators in {tags}")
+        # Every scenario's sweep value is a tau >= 0, a kappa > 0 or a
+        # multiple > 0; checked here so a bad value fails before any trial.
+        if not all(math.isfinite(v) and v >= 0 for v in self.sweep):
+            raise ValueError(f"sweep values must be finite and nonnegative, got {list(self.sweep)}")
         if len(set(self.sweep)) != len(self.sweep):
             raise ValueError(f"duplicate sweep values in {list(self.sweep)}")
         for kind in self.estimators:
@@ -141,22 +145,21 @@ class TrialRecord:
     wall_time: float = field(compare=False)
 
 
-def _trial_streams(seed: int, global_index: int) -> tuple[int, int, int]:
+def _trial_streams(trial_seed: int) -> tuple[int, int, int]:
     """Three independent substream seeds for one trial, order-free."""
-    ss = np.random.SeedSequence(seed ^ global_index)
+    ss = np.random.SeedSequence(trial_seed)
     a, b, c = ss.generate_state(3, np.uint64)
     return int(a), int(b), int(c)
 
 
 def _build_trial(config: ExperimentConfig, sweep_value: float, seeds: tuple[int, int, int]):
-    """Produce (instance, truth, separation report) for one trial."""
+    """Produce (instance, separation report) for one trial."""
     theta_seed, truth_seed, noise_seed = seeds
     scenario = config.scenario
     if scenario == "greedy-adversarial":
         theta = model.adversarial_pair_features(config.d, sweep_value)
-        noise = model.NoiseSpec.heteroscedastic([math.sqrt(3.0), 1.0])
         instance = model.greedy_adversarial_instance(config.d, sweep_value, noise_seed)
-        return instance, instance.truth, separation(theta, noise)
+        return instance, separation(theta, instance.first_noise)
 
     if scenario in ("uniform-homoscedastic", "custom"):
         theta = model.uniform_box_features(config.n, config.d, sweep_value, theta_seed)
@@ -182,7 +185,7 @@ def _build_trial(config: ExperimentConfig, sweep_value: float, seeds: tuple[int,
 
     truth = model.random_permutation(np.random.default_rng(truth_seed), theta.n)
     instance = model.generate_instance(theta, noise, truth, noise_seed)
-    return instance, truth, separation(theta, noise)
+    return instance, separation(theta, noise)
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -192,9 +195,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         for trial in range(config.trials):
             global_index = sweep_index * config.trials + trial
             trial_seed = config.seed ^ global_index
-            instance, truth, report = _build_trial(
-                config, float(sweep_value), _trial_streams(config.seed, global_index)
-            )
+            instance, report = _build_trial(config, float(sweep_value), _trial_streams(trial_seed))
             for kind in config.estimators:
                 start = time.perf_counter()
                 estimated = estimate(instance, kind)
@@ -204,8 +205,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                         sweep_value=float(sweep_value),
                         estimator=kind.tag,
                         seed=trial_seed,
-                        loss_01=loss_01(estimated, truth),
-                        loss_hamming=loss_hamming(estimated, truth),
+                        loss_01=loss_01(estimated, instance.truth),
+                        loss_hamming=loss_hamming(estimated, instance.truth),
                         kappa=report.kappa,
                         kappa_bar=report.kappa_bar,
                         wall_time=wall,

@@ -75,9 +75,9 @@ class SeparationReport:
 def separation(theta: FeatureSet, noise: NoiseSpec) -> SeparationReport:
     """Exact minima over all feature pairs.
 
-    Takes the distances of the pairs i < j from the shared kernel
-    ``pairwise_sqdist`` in row-major order, so ``argmin`` picks, on ties,
-    the pair with the smallest i and then the smallest j.
+    Computes only the pairs i < j, each row against the later rows with the
+    shared kernel ``pairwise_sqdist``, in row-major order, so ``argmin``
+    picks, on ties, the pair with the smallest i and then the smallest j.
     """
     n = theta.n
     if n < 2:
@@ -85,7 +85,8 @@ def separation(theta: FeatureSet, noise: NoiseSpec) -> SeparationReport:
     levels = noise.levels_for(n)
     v = theta.vectors
     rows, cols = np.triu_indices(n, 1)
-    dists = np.sqrt(pairwise_sqdist(v, v)[rows, cols])
+    later = [pairwise_sqdist(v[i : i + 1], v[i + 1 :]) for i in range(n - 1)]
+    dists = np.sqrt(np.concatenate(later, axis=None))
     ratios = dists / np.sqrt(levels[cols] ** 2 + levels[rows] ** 2)
     k = int(np.argmin(dists))
     k_rel = int(np.argmin(ratios))

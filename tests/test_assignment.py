@@ -67,6 +67,7 @@ def test_seeded_real_matrices_match_bruteforce():
             h = solve_hungarian(cost)
             b = solve_bruteforce(cost)
             assert h.total_cost == pytest.approx(b.total_cost, rel=1e-9, abs=1e-9)
+            assert h.assignment == b.assignment  # Gaussian costs: the optimum is unique almost surely
             assert certify(cost, h)
 
 
@@ -103,6 +104,9 @@ def test_rectangular_examples():
     sol = solve_hungarian(CostMatrix([[0.0, 9.0, 9.0], [9.0, 9.0, 0.0]]))
     assert sol.assignment == Permutation([0, 2], codomain=3)
     assert sol.total_cost == 0.0
+    # all ties: each row takes the lowest-index free column
+    sol = solve_hungarian(CostMatrix(np.zeros((3, 5))))
+    assert sol.assignment == Permutation([0, 1, 2], codomain=5)
 
 
 def test_rectangular_matches_exhaustive_injections():
@@ -128,17 +132,19 @@ def test_rectangular_consistency_with_blocked_square():
 
 def test_certificate_accepts_optimum():
     rng = np.random.default_rng(5)
-    for shape in ((1, 1), (6, 6), (5, 9), (40, 40), (30, 70)):
+    for shape in ((1, 1), (6, 6), (5, 9), (40, 40), (30, 70), (200, 200), (300, 400)):
         for scale in (1.0, 1e3, 1e12):  # the tolerance scales with the costs
             cost = CostMatrix(rng.normal(size=shape) * scale)
             sol = solve_hungarian(cost)
             assert sol.row_potentials.shape == (shape[0],) and sol.col_potentials.shape == (shape[1],)
             assert certify(cost, sol), (shape, scale)
-    # log costs spanning the default LSL floor, as the LSL estimator builds them
-    sq = rng.random((20, 25))
-    sq[3, 4] = 0.0
-    cost = CostMatrix(np.log(np.maximum(sq, 1e-30)))
-    assert certify(cost, solve_hungarian(cost))
+    # log costs spanning the default LSL floor, as the LSL estimator builds
+    # them; 800 x 1000 is the shape of the benchmark's match workload
+    for shape in ((20, 25), (800, 1000)):
+        sq = rng.random(shape)
+        sq[3, 4] = 0.0
+        cost = CostMatrix(np.log(np.maximum(sq, 1e-30)))
+        assert certify(cost, solve_hungarian(cost)), shape
 
 
 def test_certificate_rejects_swapped_rows():

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,31 @@ def test_experiment_flag_overrides(tmp_path):
     assert out.read_text().strip().splitlines()[1].endswith(",4")  # trials column
 
 
+def test_bad_sweep_value_fails_before_any_trial(tmp_path, monkeypatch):
+    from permatch import harness
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_build_trial", no_trials)
+    for sweep in ("1.4, -1", "1.0, nan, nan"):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"scenario = uniform-homoscedastic\nn = 6\nd = 4\nsweep = {sweep}\ntrials = 30\n")
+        assert main(["experiment", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+
+
+@pytest.mark.parametrize("name", ["homoscedastic", "heteroscedastic"])
+def test_desk_summary_is_byte_identical_to_pinned_csv(name, tmp_path):
+    # A fixed (config, seed) yields a byte-identical summary.  A change that
+    # alters the random stream on purpose regenerates tests/data/ with the
+    # same command.
+    root = pathlib.Path(__file__).resolve().parent
+    out = tmp_path / "summary.csv"
+    cfg = root.parent / "configs" / f"{name}-desk.cfg"
+    assert main(["experiment", str(cfg), "--out", str(out), "--trials", "8", "--seed", "11"]) == 0
+    assert out.read_bytes() == (root / "data" / f"{name}-desk-trials8-seed11.csv").read_bytes()
+
+
 def test_experiment_output_io_error(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scenario = uniform-homoscedastic\nn = 6\nd = 4\nsweep = 2.0\ntrials = 1\nestimators = lss\n")
@@ -155,8 +182,6 @@ def test_missing_subcommand_is_validation_error(capsys):
 
 
 def test_shipped_configs_parse():
-    import pathlib
-
     config_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
     names = sorted(p.name for p in config_dir.glob("*.cfg"))
     assert names == [

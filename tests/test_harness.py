@@ -50,6 +50,11 @@ def test_config_validation():
         _config(estimators=(EstimatorKind("lss"), EstimatorKind("lss")))
     with pytest.raises(ValueError, match="duplicate sweep values"):
         _config(sweep=(2.0, 4.0, 2.0))
+    # bad sweep values fail at construction, before any trial runs
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        _config(sweep=(1.4, -1.0))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        _config(sweep=(1.0, float("nan"), float("nan")))  # nan != nan slips past the duplicate check
 
 
 def test_high_count_default_scales_with_n():
