@@ -6,11 +6,17 @@ A cost matrix has one row per item to assign (for us: second-set features)
 and one column per candidate (first-set features), n <= m.  A solution
 assigns every row to a distinct column, minimizing the selected-entry sum.
 
-Solver: each row is placed by a Dijkstra search for the shortest
-augmenting path over reduced costs c_ij - u_i - v_j, scanning columns by
-path length (lowest index on ties), with the duals settled once per
-augmentation (Jonker & Volgenant, *Computing* 38, 1987; Crouse, "On
-implementing 2D rectangular assignment algorithms", IEEE TAES, 2016).
+Solver: Jonker & Volgenant's row reduction (*Computing* 38, 1987) starts
+from u_i = min_j c_ij, v = 0, and gives each row in index order its argmin
+column if that column is free.  Each row left over is placed by a Dijkstra
+search for the shortest augmenting path over reduced costs
+c_ij - u_i - v_j, scanning columns by path length (lowest index on ties),
+with the duals settled once per augmentation (Crouse, "On implementing 2D
+rectangular assignment algorithms", IEEE TAES, 2016).  The search reuses
+its buffers and masks a scanned column instead of testing it: its
+tentative length becomes +inf and its slot in a copy of v becomes -inf, so
+it never relaxes again.  Column reduction is not used: it can leave
+v_j > 0, which is dual-infeasible when n < m.
 
 Certificate: the assignment LP (every row sums to 1, every column to at
 most 1; the Birkhoff polytope when n = m) has the dual max sum(u) + sum(v)
@@ -98,38 +104,59 @@ def _selected_sum(entries: np.ndarray, mapping: np.ndarray) -> float:
 def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     """Exact minimum-cost assignment by shortest augmenting paths.
 
-    Potentials keep the input's floating precision (log- and ratio-valued
-    costs are used as-is) and are returned for ``certify``.
+    Starts from Jonker & Volgenant's row reduction (*Computing* 38, 1987):
+    u_i = min_j c_ij, v = 0, and each row in index order takes its argmin
+    column if that column is still free.  Each row left over then runs one
+    masked Dijkstra search, starting from u_i = 0.  Potentials keep the
+    input's floating precision (log- and ratio-valued costs are used as-is)
+    and are returned for ``certify``.
     """
     entries = cost.entries
     n, m = entries.shape
-    u = np.zeros(n)
+    # row-reduction start: matched pairs are tight and every c_ij - u_i - v_j >= 0
+    best = entries.argmin(axis=1)
+    u = entries[np.arange(n), best]
     v = np.zeros(m)
     col_of = np.full(n, -1, dtype=np.int64)  # row -> matched column
     row_of = np.full(m, -1, dtype=np.int64)  # column -> matched row; -1 = free
-    for start in range(n):
-        dist = np.full(m, np.inf)  # shortest reduced path length to each column
-        prev = np.empty(m, dtype=np.int64)  # row before each column on that path
-        done = np.zeros(m, dtype=bool)  # scanned columns
-        tree = []  # matched rows reached from start
+    cols, first = np.unique(best, return_index=True)  # a column's first claimant gets it
+    row_of[cols] = first
+    col_of[first] = cols
+    leftover = np.flatnonzero(col_of < 0)
+    u[leftover] = 0.0
+    # Per-search buffers, reused: a scanned column has tent = +inf and
+    # v_masked = -inf, so c_ij - v_masked_j = +inf never relaxes it.
+    tent = np.empty(m)  # tentative path length to each unscanned column
+    dist = np.empty(m)  # final path length to each scanned column
+    prev = np.empty(m, dtype=np.int64)  # row before each column on that path
+    v_masked = np.empty(m)
+    reduced = np.empty(m)
+    better = np.empty(m, dtype=bool)
+    for start in leftover.tolist():
+        tent.fill(np.inf)
+        np.copyto(v_masked, v)
+        scanned = []  # columns in scan order; all but the last are matched
         i, low = start, 0.0
         while True:
-            reduced = entries[i] - v
+            np.subtract(entries[i], v_masked, out=reduced)
             reduced += low - u[i]
-            better = (reduced < dist) & ~done
-            np.copyto(dist, reduced, where=better)
+            np.less(reduced, tent, out=better)
+            np.minimum(tent, reduced, out=tent)
             prev[better] = i
-            j = int(np.argmin(np.where(done, np.inf, dist)))
-            low = dist[j]
-            done[j] = True
+            j = int(tent.argmin())
+            low = tent[j]
+            dist[j] = low
+            tent[j] = np.inf
+            v_masked[j] = -np.inf
+            scanned.append(j)
             if row_of[j] < 0:
                 break
             i = row_of[j]
-            tree.append(i)
         # dist <= low on scanned columns, so v only falls; never-scanned (unmatched) columns keep v = 0
+        settle = low - dist[scanned]
         u[start] += low
-        u[tree] += low - dist[col_of[tree]]
-        v[done] -= low - dist[done]
+        u[row_of[scanned[:-1]]] += settle[:-1]
+        v[scanned] -= settle
         while j >= 0:  # flip the path back through prev; start's column is -1
             i = prev[j]
             row_of[j] = i

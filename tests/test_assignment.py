@@ -109,6 +109,48 @@ def test_rectangular_examples():
     assert sol.assignment == Permutation([0, 1, 2], codomain=5)
 
 
+def test_row_reduction_start_places_distinct_minima():
+    # every row's minimum is in its own column, so no search runs and the
+    # potentials are the row minima with v = 0
+    rng = np.random.default_rng(3)
+    target = np.array([4, 0, 5, 2, 1, 3])
+    entries = rng.uniform(1.0, 2.0, size=(6, 6))
+    entries[np.arange(6), target] = rng.uniform(-1.0, 0.0, size=6)
+    cost = CostMatrix(entries)
+    sol = solve_hungarian(cost)
+    assert sol.assignment == Permutation(target)
+    np.testing.assert_array_equal(sol.row_potentials, entries.min(axis=1))
+    np.testing.assert_array_equal(sol.col_potentials, np.zeros(6))
+    assert certify(cost, sol)
+
+
+def test_row_reduction_start_with_one_shared_argmin():
+    # every row's argmin is column 2: the start places row 0 only
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        entries = rng.uniform(1.0, 2.0, size=(6, 6))
+        entries[:, 2] = rng.uniform(-1.0, 0.0, size=6)
+        cost = CostMatrix(entries)
+        sol = solve_hungarian(cost)
+        assert sol.assignment == solve_bruteforce(cost).assignment
+        assert certify(cost, sol)
+
+
+def test_row_reduction_start_leaves_columns_unmatched():
+    # n < m: columns nobody reaches keep v = 0 exactly, and v <= 0 elsewhere
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        entries = rng.normal(size=(4, 7))
+        entries[1] = entries[0] + rng.uniform(0.0, 0.1, size=7)  # rows 0 and 1 share an argmin
+        cost = CostMatrix(entries)
+        sol = solve_hungarian(cost)
+        assert sol.assignment == solve_bruteforce(cost).assignment
+        assert certify(cost, sol)
+        unmatched = np.setdiff1d(np.arange(7), sol.assignment.map)
+        assert np.all(sol.col_potentials <= 0.0)
+        np.testing.assert_array_equal(sol.col_potentials[unmatched], 0.0)
+
+
 def test_rectangular_matches_exhaustive_injections():
     rng = np.random.default_rng(31)
     for _ in range(50):

@@ -63,6 +63,14 @@ def test_match_lsns_without_sigma_is_validation_error(tmp_path, capsys):
     assert "noise" in capsys.readouterr().err
 
 
+def test_match_bad_token_names_file_and_line(instance_files, tmp_path, capsys):
+    first, _, _ = instance_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,x1,x2,x3,x4\n1,0.5,0.5,0.5,0.5\n2,0.5,abc,0.5,0.5\n")
+    assert main(["match", str(first), str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:3: could not convert string to float: 'abc'\n"
+
+
 def test_bad_estimator_flag_is_validation_error(instance_files):
     first, second, _ = instance_files
     assert main(["match", str(first), str(second), "--estimator", "nearest"]) == 1
