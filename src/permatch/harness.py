@@ -1,11 +1,12 @@
 """Monte Carlo experiment engine: scenario builders, trial records,
 aggregation, and CSV/SVG emission.
 
-The whole pipeline is a pure function of (config, seed).  Per-trial
-randomness is derived from ``seed XOR global-trial-index`` and expanded
-into three independent substreams (template draw, truth draw, noise draw),
-so trials may be executed in any order, or concurrently, without changing
-any record.
+The whole pipeline is a pure function of (config, seed).  Each trial's
+randomness comes from ``SeedSequence([seed, sweep_index, trial])`` (see
+``STREAM_SCHEME``), expanded into three independent substreams (template
+draw, truth draw, noise draw), so trials may be executed in any order, or
+concurrently, without changing any record, and distinct seeds share no
+trial.
 
 Scenarios
 ---------
@@ -41,6 +42,7 @@ from .metrics import loss_01, loss_hamming, separation, separation_threshold
 
 __all__ = [
     "SCENARIOS",
+    "STREAM_SCHEME",
     "ExperimentConfig",
     "TrialRecord",
     "SummaryRow",
@@ -57,6 +59,10 @@ SCENARIOS = (
     "greedy-adversarial",
     "custom",
 )
+
+# How a trial's random streams derive from (config seed, sweep index, trial
+# index); a run manifest records this name.
+STREAM_SCHEME = "SeedSequence([seed, sweep_index, trial]).generate_state(3): templates, truth, noise"
 
 _SUMMARY_HEADER = ["sweep_value", "estimator", "mean_01", "se_01", "mean_hamming", "se_hamming", "trials"]
 
@@ -134,7 +140,8 @@ class ExperimentConfig:
 class TrialRecord:
     sweep_value: float
     estimator: str
-    seed: int
+    seed: int  # the config's seed
+    global_index: int  # sweep_index * trials + trial
     loss_01: int
     loss_hamming: float
     kappa: float
@@ -145,9 +152,9 @@ class TrialRecord:
     wall_time: float = field(compare=False)
 
 
-def _trial_streams(trial_seed: int) -> tuple[int, int, int]:
+def _trial_streams(seed: int, sweep_index: int, trial: int) -> tuple[int, int, int]:
     """Three independent substream seeds for one trial, order-free."""
-    ss = np.random.SeedSequence(trial_seed)
+    ss = np.random.SeedSequence([seed, sweep_index, trial])
     a, b, c = ss.generate_state(3, np.uint64)
     return int(a), int(b), int(c)
 
@@ -193,9 +200,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for sweep_index, sweep_value in enumerate(config.sweep):
         for trial in range(config.trials):
-            global_index = sweep_index * config.trials + trial
-            trial_seed = config.seed ^ global_index
-            instance, report = _build_trial(config, float(sweep_value), _trial_streams(trial_seed))
+            streams = _trial_streams(config.seed, sweep_index, trial)
+            instance, report = _build_trial(config, float(sweep_value), streams)
             for kind in config.estimators:
                 start = time.perf_counter()
                 estimated = estimate(instance, kind)
@@ -204,7 +210,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                     TrialRecord(
                         sweep_value=float(sweep_value),
                         estimator=kind.tag,
-                        seed=trial_seed,
+                        seed=config.seed,
+                        global_index=sweep_index * config.trials + trial,
                         loss_01=loss_01(estimated, instance.truth),
                         loss_hamming=loss_hamming(estimated, instance.truth),
                         kappa=report.kappa,

@@ -121,6 +121,27 @@ def test_estimator_subsets_share_per_trial_draws():
             b.sweep_value, b.seed, b.loss_01, b.loss_hamming, b.kappa)
 
 
+def test_distinct_seeds_share_no_trial():
+    # A trial's realized template separation identifies its template draw.
+    # Streams seeded by seed XOR trial index replay seed 0's trials under
+    # seed 1 in another order.
+    def separations(seed):
+        records = run_experiment(_config(seed=seed, trials=4, estimators=(EstimatorKind("lss"),)))
+        return {(rec.sweep_value, rec.kappa, rec.kappa_bar) for rec in records}
+
+    zero, one = separations(0), separations(1)
+    assert len(zero) == len(one) == 8
+    assert zero.isdisjoint(one)
+
+
+def test_records_carry_seed_and_global_index():
+    config = _config()
+    records = run_experiment(config)
+    per_trial = len(config.estimators)
+    assert [rec.global_index for rec in records[::per_trial]] == list(range(len(config.sweep) * config.trials))
+    assert all(rec.seed == config.seed for rec in records)
+
+
 def test_threshold_check_scenario_pins_relative_separation():
     from permatch import separation_threshold
 
