@@ -468,22 +468,23 @@ def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
         expected = ["id"] + [f"x{k}" for k in range(1, d + 1)] + (["sigma"] if has_sigma else [])
         if header != expected:
             raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
-        body = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
-    if not body:
+        rows, sigmas = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != ncols:
+                raise ValueError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
+            try:
+                # numpy parses each str as float() does, and raises the same ValueError
+                values = np.array(row[1 : d + 1], dtype=float)
+                if has_sigma:
+                    sigmas.append(float(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(values)
+    if not rows:
         raise ValueError(f"{path}: no feature rows")
-    vectors = np.empty((len(body), d))
-    sigmas = np.empty(len(body))
-    for k, (lineno, row) in enumerate(body):
-        if len(row) != ncols:
-            raise ValueError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
-        try:
-            # numpy parses each str as float() does, and raises the same ValueError
-            vectors[k] = row[1 : d + 1]
-            if has_sigma:
-                sigmas[k] = row[-1]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    features = FeatureSet(vectors)
+    features = FeatureSet(np.asarray(rows))
     noise = NoiseSpec.heteroscedastic(sigmas) if has_sigma else None
     return features, noise
 
