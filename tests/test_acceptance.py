@@ -11,7 +11,8 @@ methods sit near saturation at the smallest tau: over 13 independent
 seeds the measured gap is 0.031 +- 0.003 (mean +- standard deviation,
 range 0.026-0.036; 0.030 at this test's seed).  It reaches 0.092 +- 0.005
 at n = d = 200, so the qualitative effect is real but the 0.05 margin is
-not attainable at this scale.  The clause is asserted as specified and is expected to fail.
+not attainable at this scale.  The clause is asserted as specified and is
+expected to fail.
 """
 
 import itertools

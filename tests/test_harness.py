@@ -123,8 +123,8 @@ def test_estimator_subsets_share_per_trial_draws():
 
 def test_distinct_seeds_share_no_trial():
     # A trial's realized template separation identifies its template draw.
-    # Streams seeded by seed XOR trial index replay seed 0's trials under
-    # seed 1 in another order.
+    # Seeding each trial by seed XOR trial index would replay seed 0's
+    # trials under seed 1 in another order.
     def separations(seed):
         records = run_experiment(_config(seed=seed, trials=4, estimators=(EstimatorKind("lss"),)))
         return {(rec.sweep_value, rec.kappa, rec.kappa_bar) for rec in records}
