@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -174,6 +175,28 @@ def test_separated_family_validation_and_determinism():
     b = separated_family(20)
     assert [p.map.tolist() for p in a.permutations] == [p.map.tolist() for p in b.permutations]
     assert a.size >= 2
+
+
+@pytest.mark.parametrize(
+    "n, size, last, digest",
+    [
+        # m = 6: all 6! inner candidates, enumerated
+        (12, 361, [11, 8, 9, 10, 7, 6, 5, 4, 1, 2, 3, 0],
+         "6fba95ab2e3e7f6318e56f5a622435b2910538c644f1851f00415c6a9e081c83"),
+        # m = 8 and m = 10: the identity plus a fixed-seed random sample
+        (16, 709, [15, 6, 13, 12, 9, 14, 1, 8, 7, 4, 11, 10, 3, 2, 5, 0],
+         "d29ba7d049240ca5a98208749f1610a67ddde0a96944e5da521e0eddcf2293d2"),
+        (20, 2036, [17, 14, 7, 16, 11, 12, 19, 2, 9, 8, 15, 4, 5, 18, 1, 10, 3, 0, 13, 6],
+         "dec20821b3fc72d79b3ec614c4b7c37c1345c24e7a588fd138c8ac7b693820c2"),
+    ],
+)
+def test_separated_family_exact_output(n, size, last, digest):
+    # the selection order is part of the output: the digest covers every
+    # map, in order, as little-endian int64
+    rows = np.stack([p.map for p in separated_family(n).permutations]).astype("<i8")
+    assert rows.shape == (size, n)
+    assert rows[-1].tolist() == last
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------- derangement
