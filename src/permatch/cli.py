@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -37,7 +38,7 @@ _EXIT_VALIDATION = 1
 _EXIT_IO = 2
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Invalid arguments or configuration (exit code 1)."""
 
 
@@ -47,7 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; ``#`` starts a comment; blanks ignored."""
+    """Flat ``key = value`` lines; ``#`` starts a comment; blanks ignored;
+    a key may appear once."""
     mapping: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -56,8 +58,10 @@ def parse_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise _CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in mapping:
+                raise _CliError(f"{path}:{lineno}: duplicate key {key!r}")
+            mapping[key] = value
     return mapping
 
 
@@ -66,11 +70,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> harness.ExperimentConfig:
-    known = {
-        "scenario", "n", "d", "sigma", "sigma_high", "sigma_low", "high_count",
-        "alpha", "sigma_levels", "sweep", "trials", "seed", "estimators",
-    }
-    unknown = set(mapping) - known
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
     if unknown:
         raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "scenario" not in mapping or "sweep" not in mapping:
@@ -196,9 +196,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _EXIT_VALIDATION
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_VALIDATION

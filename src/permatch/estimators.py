@@ -35,7 +35,6 @@ The estimators:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,16 +183,14 @@ def cost_lsns(instance: MatchInstance) -> CostMatrix:
     return CostMatrix(instance.sqdist / denom)
 
 
-def _floored_log(sq: np.ndarray, floor: float) -> CostMatrix:
-    """Costs log(max(sq, floor)), for a positive finite ``floor``."""
-    if not (floor > 0 and math.isfinite(floor)):
-        raise ValueError(f"floor must be positive and finite, got {floor}")
-    return CostMatrix(np.log(np.maximum(sq, floor)))
+def _floored_log(sq: np.ndarray) -> CostMatrix:
+    """Costs log(max(sq, DEFAULT_SQDIST_FLOOR))."""
+    return CostMatrix(np.log(np.maximum(sq, DEFAULT_SQDIST_FLOOR)))
 
 
-def cost_lsl(instance: MatchInstance, floor: float = DEFAULT_SQDIST_FLOOR) -> CostMatrix:
-    """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, floor))."""
-    return _floored_log(instance.sqdist, floor)
+def cost_lsl(instance: MatchInstance) -> CostMatrix:
+    """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, DEFAULT_SQDIST_FLOOR))."""
+    return _floored_log(instance.sqdist)
 
 
 def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
@@ -230,18 +227,15 @@ def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
     return CriterionReduction(B=B, V=v1, V_sharp=v2, b=b, b_sharp=b_sharp)
 
 
-def cost_general_lsl(
-    instance: MatchInstance,
-    reduction: CriterionReduction,
-    floor: float = DEFAULT_SQDIST_FLOOR,
-) -> CostMatrix:
+def cost_general_lsl(instance: MatchInstance, reduction: CriterionReduction) -> CostMatrix:
     """LSL costs in the comparison space of a linear matching criterion.
 
     Transforms both sides (x̄ = V(x - b), x̄# = V#(x# - b#)), forms
     M = B(B^T B)^+ B^T + B B^T, and scores pairs by
-    log(max(||M^+ (x̄_j - B x̄#_i)||^2, floor)).  For orthonormal-column B
-    both terms of M coincide and M^+ halves the residual, a pure monotone
-    rescaling of plain LSL in the transformed space.
+    log(max(||M^+ (x̄_j - B x̄#_i)||^2, DEFAULT_SQDIST_FLOOR)).  For
+    orthonormal-column B both terms of M coincide and M^+ halves the
+    residual, a pure monotone rescaling of plain LSL in the transformed
+    space.
     """
     if reduction.V.shape[1] != instance.first.d or reduction.V_sharp.shape[1] != instance.second.d:
         raise ValueError(
@@ -255,7 +249,7 @@ def cost_general_lsl(
     M_pinv = np.linalg.pinv(M)
     lhs = first_t @ M_pinv.T
     rhs = (second_t @ B.T) @ M_pinv.T
-    return _floored_log(pairwise_sqdist(rhs, lhs), floor)
+    return _floored_log(pairwise_sqdist(rhs, lhs))
 
 
 def _greedy_rows(scores: np.ndarray) -> Permutation:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +98,8 @@ class ExperimentConfig:
             raise ValueError("sweep must be a non-empty list of values")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.high_count < 0:
+            raise ValueError(f"high_count must be nonnegative, got {self.high_count}")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         # aggregate() keys cells by (sweep value, estimator), so a repeat
@@ -146,10 +147,6 @@ class TrialRecord:
     loss_hamming: float
     kappa: float
     kappa_bar: float
-    # Seconds in estimate(), informational only, never gated.  The first
-    # estimator of a trial also pays for the instance's shared distance
-    # matrix, which the later ones reuse.
-    wall_time: float = field(compare=False)
 
 
 def _trial_streams(seed: int, sweep_index: int, trial: int) -> tuple[int, int, int]:
@@ -203,9 +200,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
             streams = _trial_streams(config.seed, sweep_index, trial)
             instance, report = _build_trial(config, float(sweep_value), streams)
             for kind in config.estimators:
-                start = time.perf_counter()
                 estimated = estimate(instance, kind)
-                wall = time.perf_counter() - start
                 records.append(
                     TrialRecord(
                         sweep_value=float(sweep_value),
@@ -216,7 +211,6 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                         loss_hamming=loss_hamming(estimated, instance.truth),
                         kappa=report.kappa,
                         kappa_bar=report.kappa_bar,
-                        wall_time=wall,
                     )
                 )
     return records

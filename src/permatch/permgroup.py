@@ -224,37 +224,28 @@ def pack_greedy(n: int, R: float, eps: float, restarts: int = 0, seed: int = 0) 
     )
 
 
-def _inner_separated(m: int) -> list[tuple[int, ...]]:
+def _inner_separated(m: int) -> np.ndarray:
     """Greedy family in the symmetric group on m symbols, pairwise differing
-    in at least ceil(m/2) positions, identity first.
+    in at least ceil(m/2) positions, identity first, one row per member.
 
     Small m scans all m! permutations in lexicographic order; larger m
-    scans a fixed-seed random sample.  A family of size >= 2 always exists
-    (the reversal differs from the identity everywhere for m >= 2).
+    scans the identity and then a fixed-seed random sample.  A repeated
+    sample differs from its first copy in 0 < ceil(m/2) positions, so the
+    scan skips it.  A family of size >= 2 always exists (the reversal
+    differs from the identity everywhere for m >= 2).
     """
-    min_diffs = (m + 1) // 2
     if m <= _INNER_ENUM_MAX_M:
-        candidates = itertools.permutations(range(m))
+        cands = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
     else:
         rng = np.random.default_rng(20_000 + m)
-        candidates = itertools.chain(
-            [tuple(range(m))],
-            (tuple(random_permutation(rng, m).map.tolist()) for _ in range(_INNER_SAMPLE_COUNT)),
+        cands = np.stack(
+            [np.arange(m, dtype=np.int64)]
+            + [random_permutation(rng, m).map for _ in range(_INNER_SAMPLE_COUNT)]
         )
-    chosen: list[tuple[int, ...]] = []
-    chosen_arr = np.empty((0, m), dtype=np.int64)
-    for cand in candidates:
-        row = np.array(cand, dtype=np.int64)
-        if chosen and int((chosen_arr != row).sum(axis=1).min()) < min_diffs:
-            continue
-        if cand in chosen:  # the sampled stream may repeat
-            continue
-        chosen.append(cand)
-        chosen_arr = np.vstack([chosen_arr, row[None, :]])
-    return chosen
+    return cands[_greedy_select(cands, np.arange(len(cands)), (m + 1) // 2)]
 
 
-def _lift(inner: tuple[int, ...], n: int) -> np.ndarray:
+def _lift(inner: np.ndarray, n: int) -> np.ndarray:
     """Turn a permutation of m = n//2 symbols into a product of m disjoint
     transpositions on n symbols, each swapping an odd position with an even
     value: position 2k-1 <-> value 2*inner(k) (1-based)."""

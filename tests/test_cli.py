@@ -110,6 +110,19 @@ def test_config_missing_equals_rejected(tmp_path):
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+def test_config_duplicate_key_rejected(tmp_path, capsys):
+    # a repeat used to replace the first value silently, dropping tau = 1.0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "scenario = uniform-homoscedastic\nn = 6\nd = 4\ntrials = 2\n"
+        "sweep = 1.0\nsweep = 2.0, 3.0\n"
+    )
+    out = tmp_path / "o.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 1
+    assert f"{cfg}:6: duplicate key 'sweep'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_csv_and_svg(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -109,11 +109,9 @@ def test_cost_lsl_composition_and_floor():
         cost_lsl(inst).entries, np.log(cost_lss(inst).entries), rtol=1e-14
     )
     coincident = _manual_instance([[1.0, 2.0], [5.0, 5.0]], [[1.0, 2.0], [4.0, 4.0]])
-    entries = cost_lsl(coincident, floor=1e-30).entries
+    entries = cost_lsl(coincident).entries
     assert entries[0, 0] == pytest.approx(math.log(1e-30))
     assert entries[0, 0] < entries.min(initial=0.0) + 1e-9  # the floor is the smallest value
-    with pytest.raises(ValueError):
-        cost_lsl(coincident, floor=0.0)
 
 
 def test_distances_at_least_one_give_nonnegative_lsl():
@@ -380,7 +378,7 @@ def test_general_lsl_illumination_invariance_hits_floor():
     inst = _manual_instance(base, second)
     centering = np.eye(d) - np.ones((d, d)) / d
     red = reduce_criterion(centering, centering)
-    entries = cost_general_lsl(inst, red, floor=1e-30).entries
+    entries = cost_general_lsl(inst, red).entries
     for i in range(4):
         assert entries[i, i] == pytest.approx(math.log(1e-30))
     assert estimate(inst, EstimatorKind.general_lsl(red)) == Permutation.identity(4)
