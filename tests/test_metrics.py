@@ -200,6 +200,20 @@ def test_conservative_threshold_dominates():
         assert separation_threshold_conservative(0.1, n, d, 1.0) > separation_threshold(0.1, n, d, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, plain, conservative",
+    [
+        # the (d log)^(1/4) branch wins for both thresholds
+        ((0.05, 200, 200, 1.0), "0x1.d97c051f2fa19p+4", "0x1.4ecdd75ffbe09p+5"),
+        # the sqrt(log) branch wins for both thresholds
+        ((0.05, 50, 2, 1.0), "0x1.4511e1d59a319p+4", "0x1.cbb7db8b0d240p+4"),
+    ],
+)
+def test_threshold_exact_bits(args, plain, conservative):
+    assert separation_threshold(*args).hex() == plain
+    assert separation_threshold_conservative(*args).hex() == conservative
+
+
 # ------------------------------------------------------------------ risk bound
 
 def test_risk_bound_vacuous_regime():

@@ -308,6 +308,7 @@ def test_features_csv_roundtrip(tmp_path):
     noise = NoiseSpec.heteroscedastic([0.1, 0.2, 0.3, 0.4, 0.5])
     path = tmp_path / "features.csv"
     write_features_csv(path, theta, noise)
+    assert path.read_text().splitlines()[0] == "id,x1,x2,x3,sigma"
     back, back_noise = read_features_csv(path)
     np.testing.assert_array_equal(back.vectors, theta.vectors)
     np.testing.assert_array_equal(back_noise.levels, noise.levels)

@@ -114,6 +114,18 @@ def test_pack_greedy_restarts_never_hurt():
     _verify_packing(more, eps=0.5)
 
 
+def test_pack_greedy_exact_output():
+    # a restart wins here (140 members from the lexicographic scan alone);
+    # the digest covers every map, in order, as little-endian int64
+    result = pack_greedy(9, 2.0, 0.5, restarts=4, seed=1)
+    rows = np.stack([p.map for p in result.permutations]).astype("<i8")
+    assert rows.shape == (150, 9)
+    assert rows[-1].tolist() == [0, 1, 3, 2, 5, 6, 8, 4, 7]
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "ffb19baa3c191a68ddc23b6a31ff8831ee802ef18d83aa6aa51eb0dcff52c682"
+    )
+
+
 def test_pack_greedy_sampled_mode_is_valid():
     result = pack_greedy(16, 2.0, 0.25, seed=5)
     assert not result.is_exhaustive
