@@ -38,13 +38,9 @@ _EXIT_VALIDATION = 1
 _EXIT_IO = 2
 
 
-class _CliError(ValueError):
-    """Invalid arguments or configuration (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures into exit code 1
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -57,10 +53,10 @@ def parse_config_file(path) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise _CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key in mapping:
-                raise _CliError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             mapping[key] = value
     return mapping
 
@@ -72,9 +68,9 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 def config_from_mapping(mapping: dict[str, str]) -> harness.ExperimentConfig:
     unknown = set(mapping) - {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
     if unknown:
-        raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "scenario" not in mapping or "sweep" not in mapping:
-        raise _CliError("config must set at least 'scenario' and 'sweep'")
+        raise ValueError("config must set at least 'scenario' and 'sweep'")
     kwargs: dict = {"scenario": mapping["scenario"], "sweep": _parse_float_list(mapping["sweep"])}
     for key, cast in (
         ("n", int), ("d", int), ("high_count", int), ("trials", int), ("seed", int),
@@ -116,11 +112,7 @@ def _cmd_experiment(args) -> int:
     config = config_from_mapping(mapping)
     records = harness.run_experiment(config)
     summary = harness.aggregate(records)
-    xlabel = {
-        "greedy-adversarial": "kappa",
-        "threshold-check": "threshold multiple",
-    }.get(config.scenario, "tau")
-    harness.emit(summary, args.out, fmt=args.format, xlabel=xlabel)
+    harness.emit(summary, args.out, fmt=args.format, xlabel=harness.SWEEP_LABELS[config.scenario])
     sys.stdout.write(f"wrote {args.out} ({len(summary)} rows)\n")
     return _EXIT_OK
 

@@ -150,10 +150,6 @@ class EstimatorKind:
             raise ValueError("general-lsl needs an explicit reduction; build it via EstimatorKind.general_lsl")
         return cls(tag=name)
 
-    @property
-    def requires_noise(self) -> bool:
-        return self.tag in ("lsns", "variance-greedy")
-
 
 GREEDY = EstimatorKind("greedy")
 LSS = EstimatorKind("lss")

@@ -41,6 +41,7 @@ from .metrics import loss_01, loss_hamming, separation, separation_threshold
 
 __all__ = [
     "SCENARIOS",
+    "SWEEP_LABELS",
     "STREAM_SCHEME",
     "ExperimentConfig",
     "TrialRecord",
@@ -51,13 +52,15 @@ __all__ = [
     "read_summary_csv",
 ]
 
-SCENARIOS = (
-    "uniform-homoscedastic",
-    "identity-heteroscedastic",
-    "threshold-check",
-    "greedy-adversarial",
-    "custom",
-)
+# Each scenario with the axis label of its sweep values.
+SWEEP_LABELS = {
+    "uniform-homoscedastic": "tau",
+    "identity-heteroscedastic": "tau",
+    "threshold-check": "threshold multiple",
+    "greedy-adversarial": "kappa",
+    "custom": "tau",
+}
+SCENARIOS = tuple(SWEEP_LABELS)
 
 # How a trial's random streams derive from (config seed, sweep index, trial
 # index); a run manifest records this name.

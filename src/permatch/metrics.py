@@ -109,31 +109,32 @@ def minimax_separation_rate(sigma: float, n: int, d: float) -> float:
     """
     if n < 2:
         raise ValueError("need at least two features")
-    if sigma <= 0 or d <= 0:
-        raise ValueError("sigma and d must be positive")
+    if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(d) and d > 0):
+        raise ValueError("sigma and d must be positive and finite")
     log_n = math.log(n)
     if d >= log_n:
         return sigma * math.sqrt(math.sqrt(d * log_n))
     return sigma * math.sqrt(log_n)
 
 
-def _check_threshold_args(alpha: float, n: int, d: int, sigma: float) -> None:
+def _threshold(alpha: float, n: int, d: int, sigma: float, low: float, high: float) -> float:
+    """sigma * 4 * max(sqrt(low log(8 n^2 / alpha)), (high d log(4 n^2 / alpha))^(1/4))."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if n < 2 or not (math.isfinite(d) and d >= 1):
+        raise ValueError("need n >= 2 and finite d >= 1")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
+    branch_low = math.sqrt(low * math.log(8.0 * n * n / alpha))
+    branch_high = (high * d * math.log(4.0 * n * n / alpha)) ** 0.25
+    return sigma * 4.0 * max(branch_low, branch_high)
 
 
 def separation_threshold(alpha: float, n: int, d: int, sigma: float) -> float:
     """Separation guaranteeing mismatch probability at most alpha:
     sigma * 4 * max(sqrt(2 log(8 n^2 / alpha)), (d log(4 n^2 / alpha))^(1/4)).
     """
-    _check_threshold_args(alpha, n, d, sigma)
-    branch_low = math.sqrt(2.0 * math.log(8.0 * n * n / alpha))
-    branch_high = (d * math.log(4.0 * n * n / alpha)) ** 0.25
-    return sigma * 4.0 * max(branch_low, branch_high)
+    return _threshold(alpha, n, d, sigma, 2.0, 1.0)
 
 
 def separation_threshold_conservative(alpha: float, n: int, d: int, sigma: float) -> float:
@@ -143,10 +144,7 @@ def separation_threshold_conservative(alpha: float, n: int, d: int, sigma: float
     This is the threshold whose constants line up exactly with
     mismatch_probability_bound: plugging it in drives the bound to alpha.
     """
-    _check_threshold_args(alpha, n, d, sigma)
-    branch_low = math.sqrt(4.0 * math.log(8.0 * n * n / alpha))
-    branch_high = (4.0 * d * math.log(4.0 * n * n / alpha)) ** 0.25
-    return sigma * 4.0 * max(branch_low, branch_high)
+    return _threshold(alpha, n, d, sigma, 4.0, 4.0)
 
 
 def mismatch_probability_bound_raw(kappa: float, sigma: float, n: int, d: int) -> float:

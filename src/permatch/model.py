@@ -145,10 +145,6 @@ class NoiseSpec:
     def heteroscedastic(cls, levels) -> "NoiseSpec":
         return cls(levels=levels)
 
-    @property
-    def is_homoscedastic(self) -> bool:
-        return self.sigma is not None
-
     def levels_for(self, n: int) -> np.ndarray:
         """Per-feature levels as a length-n vector."""
         if self.sigma is not None:
@@ -447,6 +443,10 @@ def greedy_adversarial_instance(d: int, kappa: float, seed: int) -> MatchInstanc
 # CSV ingestion: one feature per row, schema  id,x1,...,xd[,sigma]
 # ---------------------------------------------------------------------------
 
+def _csv_header(d: int, has_sigma: bool) -> list[str]:
+    return ["id"] + [f"x{k}" for k in range(1, d + 1)] + (["sigma"] if has_sigma else [])
+
+
 def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
     """Read a feature file; returns the features and, if present, the levels.
 
@@ -465,7 +465,7 @@ def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
         has_sigma = header[-1] == "sigma"
         ncols = len(header)
         d = ncols - 2 if has_sigma else ncols - 1
-        expected = ["id"] + [f"x{k}" for k in range(1, d + 1)] + (["sigma"] if has_sigma else [])
+        expected = _csv_header(d, has_sigma)
         if header != expected:
             raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
         rows, sigmas = [], []
@@ -494,10 +494,7 @@ def write_features_csv(path, features: FeatureSet, noise: NoiseSpec | None = Non
     levels = noise.levels_for(features.n) if noise is not None else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["id"] + [f"x{k}" for k in range(1, features.d + 1)]
-        if levels is not None:
-            header.append("sigma")
-        writer.writerow(header)
+        writer.writerow(_csv_header(features.d, levels is not None))
         for i in range(features.n):
             row = [str(i + 1)] + [repr(float(x)) for x in features.vectors[i]]
             if levels is not None:

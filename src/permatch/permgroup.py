@@ -30,7 +30,6 @@ __all__ = [
     "derangement_count",
     "verify_near_identity_bound",
     "write_packing_csv",
-    "read_packing_csv",
 ]
 
 _BALL_ENUM_MAX_N = 10
@@ -68,8 +67,8 @@ def _strict_budget(n: int, R: float) -> int:
     Clamped at 0 so a radius-0 ball means the center alone rather than the
     empty set.
     """
-    if R < 0:
-        raise ValueError("radius must be nonnegative")
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError("radius must be finite and nonnegative")
     limit = Fraction(R) ** 2 * n
     ceil = math.ceil(limit)
     budget = ceil - 1 if ceil == limit else math.floor(limit)
@@ -196,26 +195,18 @@ def pack_greedy(n: int, R: float, eps: float, restarts: int = 0, seed: int = 0) 
         raise ValueError("restarts must be nonnegative")
     min_diffs = _min_diff_count(eps, n)
     budget = _strict_budget(n, R)
-    if n <= _PACK_ENUM_MAX_N:
-        members_list = _ball_members(n, budget)
-        enumerated = True
-    else:
-        members_list = _sample_ball(n, budget, seed)
-        enumerated = False
+    enumerated = n <= _PACK_ENUM_MAX_N
+    members_list = _ball_members(n, budget) if enumerated else _sample_ball(n, budget, seed)
     members = np.array(members_list, dtype=np.int64).reshape(len(members_list), n)
 
     exhaustive = enumerated and n <= 8 and Fraction(eps) <= Fraction(2, n)
     if exhaustive:
-        chosen = list(range(len(members_list)))
+        rows = members
     else:
-        chosen = _greedy_select(members, np.arange(len(members_list)), min_diffs)
         rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            order = rng.permutation(len(members_list))
-            candidate = _greedy_select(members, order, min_diffs)
-            if len(candidate) > len(chosen):
-                chosen = candidate
-    rows = members[np.array(chosen, dtype=np.int64)] if chosen else members[:0]
+        orders = [np.arange(len(members))] + [rng.permutation(len(members)) for _ in range(restarts)]
+        # max keeps the first of the largest, so a tie goes to the earlier scan
+        rows = members[max((_greedy_select(members, order, min_diffs) for order in orders), key=len)]
     return PackingResult(
         permutations=tuple(Permutation(r) for r in rows),
         radius_l2=float(R),
@@ -324,13 +315,3 @@ def write_packing_csv(result: PackingResult, path) -> None:
     with open(path, "w", newline="") as fh:
         for perm in result.permutations:
             fh.write(",".join(str(v + 1) for v in perm.map.tolist()) + "\n")
-
-
-def read_packing_csv(path) -> list[Permutation]:
-    perms = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                perms.append(Permutation([int(v) - 1 for v in line.split(",")]))
-    return perms

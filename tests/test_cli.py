@@ -139,6 +139,22 @@ def test_experiment_csv_and_svg(tmp_path, capsys):
     assert out_svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "body, label",
+    [
+        ("scenario = uniform-homoscedastic\nn = 6\nd = 4\nsweep = 2.0\n", "tau"),
+        ("scenario = threshold-check\nn = 6\nd = 4\nsweep = 1.0\n", "threshold multiple"),
+        ("scenario = greedy-adversarial\nd = 500\nsweep = 1.0\n", "kappa"),
+    ],
+)
+def test_svg_axis_names_the_sweep(body, label, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(body + "trials = 1\nestimators = lss\n")
+    out = tmp_path / "plot.svg"
+    assert main(["experiment", str(cfg), "--out", str(out), "--format", "svg-plot"]) == 0
+    assert f'font-size="14">{label}</text>' in out.read_text()
+
+
 def test_experiment_flag_overrides(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -196,6 +212,20 @@ def test_rates_command(capsys):
     out = capsys.readouterr().out
     assert "29.59" in out  # recovery threshold for these parameters
     assert "separation rate" in out
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_rates_rejects_non_finite_sigma(sigma, capsys):
+    assert main(["rates", "--n", "50", "--d", "10", "--sigma", sigma]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sigma and d must be positive and finite\n"
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
+def test_packing_rejects_non_finite_or_negative_radius(radius, capsys):
+    assert main(["packing", "--n", "5", "--radius", radius]) == 1
+    assert capsys.readouterr().err == "error: radius must be finite and nonnegative\n"
 
 
 def test_missing_subcommand_is_validation_error(capsys):

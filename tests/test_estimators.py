@@ -392,5 +392,3 @@ def test_estimator_kind_validation():
     with pytest.raises(ValueError):
         EstimatorKind.from_name("general-lsl")
     assert EstimatorKind.from_name(" LSS ").tag == "lss"
-    assert LSNS.requires_noise and VARIANCE_GREEDY.requires_noise
-    assert not LSS.requires_noise
