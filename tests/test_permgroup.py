@@ -114,29 +114,26 @@ def test_pack_greedy_restarts_never_hurt():
     _verify_packing(more, eps=0.5)
 
 
-def test_pack_greedy_exact_output():
-    # a restart wins here (140 members from the lexicographic scan alone);
+@pytest.mark.parametrize(
+    "args, size, last, digest",
+    [
+        # a restart wins (140 members from the lexicographic scan alone)
+        ((9, 2.0, 0.5, 4, 1), 150, [0, 1, 3, 2, 5, 6, 8, 4, 7],
+         "ffb19baa3c191a68ddc23b6a31ff8831ee802ef18d83aa6aa51eb0dcff52c682"),
+        # the scans find 3, 5, 4, 5 and 4 members; the two 5-member
+        # packings differ, and the earlier scan's wins the tie
+        ((5, 1.5, 0.75, 4, 0), 5, [2, 0, 3, 1, 4],
+         "cde479bd9ca524ef602848ae546063cba2032e8ff3578bb45df00d0f4bc9b3c1"),
+    ],
+)
+def test_pack_greedy_exact_output(args, size, last, digest):
     # the digest covers every map, in order, as little-endian int64
-    result = pack_greedy(9, 2.0, 0.5, restarts=4, seed=1)
+    n, R, eps, restarts, seed = args
+    result = pack_greedy(n, R, eps, restarts=restarts, seed=seed)
     rows = np.stack([p.map for p in result.permutations]).astype("<i8")
-    assert rows.shape == (150, 9)
-    assert rows[-1].tolist() == [0, 1, 3, 2, 5, 6, 8, 4, 7]
-    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
-        "ffb19baa3c191a68ddc23b6a31ff8831ee802ef18d83aa6aa51eb0dcff52c682"
-    )
-
-
-def test_pack_greedy_tie_goes_to_the_earlier_scan():
-    # the scans find 3, 5, 4, 5 and 4 members; the two 5-member packings
-    # differ, and the first restart's wins
-    result = pack_greedy(5, 1.5, 0.75, restarts=4, seed=0)
-    assert [p.map.tolist() for p in result.permutations] == [
-        [1, 2, 0, 3, 4],
-        [0, 1, 4, 2, 3],
-        [0, 3, 1, 4, 2],
-        [1, 0, 2, 4, 3],
-        [2, 0, 3, 1, 4],
-    ]
+    assert rows.shape == (size, n)
+    assert rows[-1].tolist() == last
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def test_pack_greedy_sampled_mode_is_valid():
