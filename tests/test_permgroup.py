@@ -143,6 +143,38 @@ def test_pack_greedy_sampled_mode_is_valid():
     _verify_packing(result, eps=0.25)
 
 
+def _brute_force_spread(result):
+    """Fewest differing positions over every ordered pair of distinct members,
+    as a fraction of n; 1.0 (vacuous) for a family of one."""
+    arr = np.stack([p.map for p in result.permutations])
+    count, n = arr.shape
+    best = n
+    for i in range(count):
+        diffs = (arr != arr[i]).sum(axis=1)
+        diffs[i] = n
+        best = min(best, int(diffs.min()))
+    return best / n
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pack_greedy(5, 2.0, 0.25),  # exhaustive
+        lambda: pack_greedy(9, 2.0, 0.5, restarts=2, seed=1),  # greedy scans
+        lambda: pack_greedy(16, 2.0, 0.25, seed=5),  # sampled ball
+        lambda: separated_family(4),
+        lambda: separated_family(5),
+        lambda: separated_family(12),
+        lambda: separated_family(20),
+    ],
+    ids=["pack-5-exhaustive", "pack-9-restarts", "pack-16-sampled",
+         "family-4", "family-5", "family-12", "family-20"],
+)
+def test_min_pairwise_hamming_is_exact(build):
+    result = build()
+    assert result.min_pairwise_hamming == _brute_force_spread(result)
+
+
 def test_pack_greedy_validation():
     with pytest.raises(ValueError):
         pack_greedy(4, 2.0, 0.0)
