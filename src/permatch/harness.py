@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -65,8 +66,6 @@ SCENARIOS = tuple(SWEEP_LABELS)
 # How a trial's random streams derive from (config seed, sweep index, trial
 # index); a run manifest records this name.
 STREAM_SCHEME = "SeedSequence([seed, sweep_index, trial]).generate_state(3): templates, truth, noise"
-
-_SUMMARY_HEADER = ["sweep_value", "estimator", "mean_01", "se_01", "mean_hamming", "se_hamming", "trials"]
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One row of the summary CSV; the fields, in order, are its columns."""
+
     sweep_value: float
     estimator: str
     mean_01: float
@@ -299,43 +300,24 @@ def emit(summary: list[SummaryRow], path, fmt: str = "csv", xlabel: str = "sweep
 def _emit_csv(summary: list[SummaryRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_HEADER)
+        writer.writerow(list(typing.get_type_hints(SummaryRow)))
         for row in summary:
-            writer.writerow(
-                [
-                    repr(row.sweep_value),
-                    row.estimator,
-                    repr(row.mean_01),
-                    repr(row.se_01),
-                    repr(row.mean_hamming),
-                    repr(row.se_hamming),
-                    str(row.trials),
-                ]
-            )
+            writer.writerow(repr(v) if isinstance(v, float) else str(v) for v in astuple(row))
 
 
 def read_summary_csv(path) -> list[SummaryRow]:
     """Parse a summary CSV back; inverse of the CSV emitter."""
+    columns = typing.get_type_hints(SummaryRow)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != _SUMMARY_HEADER:
+        if header != list(columns):
             raise ValueError(f"{path}: unexpected header {header}")
         for row in reader:
-            if not row:
-                continue
-            rows.append(
-                SummaryRow(
-                    sweep_value=float(row[0]),
-                    estimator=row[1],
-                    mean_01=float(row[2]),
-                    se_01=float(row[3]),
-                    mean_hamming=float(row[4]),
-                    se_hamming=float(row[5]),
-                    trials=int(row[6]),
-                )
-            )
+            if row:
+                cells = zip(columns.values(), row, strict=True)
+                rows.append(SummaryRow(*(kind(cell) for kind, cell in cells)))
     return rows
 
 

@@ -151,7 +151,7 @@ def mismatch_probability_bound_raw(kappa: float, sigma: float, n: int, d: int) -
     """Uncapped worst-case mismatch bound at separation kappa:
     max(8 n^2 exp(-kappa^2 / (2^6 sigma^2)), 4 n^2 exp(-kappa^4 / (2^10 d sigma^4))).
     """
-    if kappa <= 0 or sigma <= 0 or n < 2 or d < 1:
+    if not (kappa > 0 and sigma > 0) or n < 2 or d < 1:
         raise ValueError("kappa and sigma must be positive, n >= 2, d >= 1")
     term_low = 8.0 * n * n * math.exp(-(kappa**2) / (64.0 * sigma**2))
     term_high = 4.0 * n * n * math.exp(-(kappa**4) / (1024.0 * d * sigma**4))
@@ -171,7 +171,7 @@ def chi2_tail_bound(D: int, x: float) -> tuple[float, float]:
     """
     if D < 1:
         raise ValueError("D must be a positive integer")
-    if x <= 0:
+    if not (x > 0):
         raise ValueError("x must be positive")
     bound = math.exp(-x)
     return (bound, bound)

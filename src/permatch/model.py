@@ -284,10 +284,6 @@ class MatchInstance:
             if self.truth.n != self.second.n or self.truth.codomain != self.first.n:
                 raise ValueError("truth permutation shape does not match the instance")
 
-    @property
-    def is_square(self) -> bool:
-        return self.first.n == self.second.n
-
     @cached_property
     def sqdist(self) -> np.ndarray:
         """Read-only squared distances, entry (i, j) = ||first[j] - second[i]||^2.

@@ -147,33 +147,21 @@ def _sample_ball(n: int, budget: int, seed: int) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _greedy_select(members: np.ndarray, order: np.ndarray, min_diffs: int) -> list[int]:
-    """First-fit scan: accept a candidate, then rule out everything later in
-    the order that sits too close to it (one vectorized sweep per accept)."""
+def _greedy_select(members: np.ndarray, order: np.ndarray, min_diffs: int) -> tuple[np.ndarray, int]:
+    """First-fit scan: accept a candidate, then lower each later candidate's
+    fewest differences to an accepted row (one vectorized sweep per accept).
+    Also returns the fewest differences between two accepted rows (n for one
+    row), exact because each accepted pair meets in one sweep."""
     ordered = members[order]
-    count = ordered.shape[0]
-    alive = np.ones(count, dtype=bool)
-    chosen: list[int] = []
+    count, n = ordered.shape
+    fewest = np.full(count, n, dtype=np.int64)
+    kept: list[int] = []
     for pos in range(count):
-        if not alive[pos]:
-            continue
-        chosen.append(int(order[pos]))
-        tail = ordered[pos + 1 :]
-        if tail.size:
-            alive[pos + 1 :] &= (tail != ordered[pos]).sum(axis=1) >= min_diffs
-    return chosen
-
-
-def _min_pairwise_hamming(rows: np.ndarray) -> float:
-    count = rows.shape[0]
-    if count < 2:
-        return 1.0  # vacuous: no pair to constrain
-    best = rows.shape[1]
-    for i in range(count - 1):
-        best = min(best, int((rows[i + 1 :] != rows[i]).sum(axis=1).min()))
-        if best == 0:
-            break
-    return best / rows.shape[1]
+        if fewest[pos] >= min_diffs:
+            kept.append(pos)
+            later = fewest[pos + 1 :]
+            np.minimum(later, (ordered[pos + 1 :] != ordered[pos]).sum(axis=1), out=later)
+    return order[kept], int(fewest[kept].min())
 
 
 def pack_greedy(n: int, R: float, eps: float, restarts: int = 0, seed: int = 0) -> PackingResult:
@@ -185,9 +173,10 @@ def pack_greedy(n: int, R: float, eps: float, restarts: int = 0, seed: int = 0) 
     in lexicographic order plus ``restarts`` seeded shuffles, and the
     largest packing found wins.
 
-    When n <= 8 and eps <= 2/n, any two distinct permutations already
-    differ in at least 2 of n positions, so the whole ball is a packing
-    and the result is marked exhaustive.
+    When eps <= 2/n on an enumerated ball, the whole ball is the packing and
+    the result is marked exhaustive: any two distinct permutations differ in
+    at least 2 of n positions, and a ball with two or more members holds the
+    identity and a swap of two neighbours, which differ in exactly 2.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -199,25 +188,28 @@ def pack_greedy(n: int, R: float, eps: float, restarts: int = 0, seed: int = 0) 
     members_list = _ball_members(n, budget) if enumerated else _sample_ball(n, budget, seed)
     members = np.array(members_list, dtype=np.int64).reshape(len(members_list), n)
 
-    exhaustive = enumerated and n <= 8 and Fraction(eps) <= Fraction(2, n)
+    exhaustive = enumerated and min_diffs <= 2
     if exhaustive:
-        rows = members
+        rows, spread = members, (2 if len(members) > 1 else n)
     else:
         rng = np.random.default_rng(seed)
         orders = [np.arange(len(members))] + [rng.permutation(len(members)) for _ in range(restarts)]
         # max keeps the first of the largest, so a tie goes to the earlier scan
-        rows = members[max((_greedy_select(members, order, min_diffs) for order in orders), key=len)]
+        scans = [_greedy_select(members, order, min_diffs) for order in orders]
+        chosen, spread = max(scans, key=lambda scan: len(scan[0]))
+        rows = members[chosen]
     return PackingResult(
         permutations=tuple(Permutation(r) for r in rows),
         radius_l2=float(R),
-        min_pairwise_hamming=_min_pairwise_hamming(rows),
+        min_pairwise_hamming=spread / n,
         is_exhaustive=exhaustive,
     )
 
 
-def _inner_separated(m: int) -> np.ndarray:
+def _inner_separated(m: int) -> tuple[np.ndarray, int]:
     """Greedy family in the symmetric group on m symbols, pairwise differing
-    in at least ceil(m/2) positions, identity first, one row per member.
+    in at least ceil(m/2) positions, identity first, one row per member, and
+    the fewest differences between two of its members.
 
     Small m scans all m! permutations in lexicographic order; larger m
     scans the identity and then a fixed-seed random sample.  A repeated
@@ -233,7 +225,8 @@ def _inner_separated(m: int) -> np.ndarray:
             [np.arange(m, dtype=np.int64)]
             + [random_permutation(rng, m).map for _ in range(_INNER_SAMPLE_COUNT)]
         )
-    return cands[_greedy_select(cands, np.arange(len(cands)), (m + 1) // 2)]
+    chosen, spread = _greedy_select(cands, np.arange(len(cands)), (m + 1) // 2)
+    return cands[chosen], spread
 
 
 def _lift(inner: np.ndarray, n: int) -> np.ndarray:
@@ -255,12 +248,14 @@ def separated_family(n: int) -> PackingResult:
 
     Built by lifting a half-size family (pairwise >= 1/2) through disjoint
     odd-even transpositions; the lift exactly doubles every pairwise
-    difference count, which preserves the separation at scale 3/8.
+    difference count, which preserves the separation at scale 3/8.  Every
+    lift moves all 2m lifted positions, at least twice the inner spread, so
+    the identity added on n symbols leaves the spread at twice the inner one.
     """
     if n < 4:
         raise ValueError("need n >= 4")
     m = n // 2
-    inner = _inner_separated(m)
+    inner, inner_spread = _inner_separated(m)
     rows = np.vstack(
         [np.arange(n, dtype=np.int64)[None, :]] + [_lift(t, n)[None, :] for t in inner]
     )
@@ -271,7 +266,7 @@ def separated_family(n: int) -> PackingResult:
     return PackingResult(
         permutations=tuple(Permutation(r) for r in rows),
         radius_l2=radius,
-        min_pairwise_hamming=_min_pairwise_hamming(rows),
+        min_pairwise_hamming=2 * inner_spread / n,
         is_exhaustive=False,
     )
 

@@ -249,6 +249,21 @@ def test_emit_csv_roundtrip_full_precision(tmp_path):
     assert read_summary_csv(path) == summary
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "estimator,sweep_value,mean_01,se_01,mean_hamming,se_hamming,trials\nlss,1.0,0.0,0.0,0.0,0.0,1\n",
+        "sweep_value,estimator,mean_01,se_01,mean_hamming,se_hamming,trials\n1.0,lss,0.0,0.0,0.0,0.0\n",
+    ],
+    ids=["swapped-header", "short-row"],
+)
+def test_read_summary_csv_rejects_malformed(tmp_path, text):
+    path = tmp_path / "summary.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_summary_csv(path)
+
+
 def test_emit_svg_structure(tmp_path):
     records = run_experiment(_config())
     summary = aggregate(records)

@@ -241,6 +241,20 @@ def test_risk_bound_monotone_in_kappa():
     assert all(x >= y for x, y in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mismatch_probability_bound(math.nan, 1.0, 10, 5),
+        lambda: mismatch_probability_bound(5.0, math.nan, 10, 5),
+        lambda: chi2_tail_bound(3, math.nan),
+    ],
+    ids=["bound-kappa", "bound-sigma", "chi2-x"],
+)
+def test_bounds_reject_nan(call):
+    with pytest.raises(ValueError, match="must be positive"):
+        call()
+
+
 # ------------------------------------------------------------------- chi2 tail
 
 def test_chi2_tail_bound_values():

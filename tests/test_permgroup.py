@@ -86,11 +86,16 @@ def test_ball_translation_invariance():
 # --------------------------------------------------------------------- packing
 
 def test_pack_greedy_exhaustive_regime():
-    result = pack_greedy(4, 2.0, 0.25)
-    assert result.size == 19
-    assert result.is_exhaustive
-    assert result.min_pairwise_hamming >= 0.25
-    _verify_packing(result, eps=0.25)
+    # n = 9 pins the rule eps <= 2/n without a bound on n: the whole ball,
+    # in lexicographic order, is the packing
+    for n, eps, size in [(4, 0.25, 19), (9, 0.2, 6689)]:
+        result = pack_greedy(n, 2.0, eps)
+        assert result.is_exhaustive
+        assert result.size == size == ball_cardinality(n, 2.0)
+        rows = [tuple(p.map.tolist()) for p in result.permutations]
+        assert rows == sorted(rows)
+        assert result.min_pairwise_hamming == 2 / n
+        _verify_packing(result, eps=eps)
 
 
 def test_pack_greedy_beyond_exhaustive_regime():
@@ -144,7 +149,7 @@ def test_pack_greedy_sampled_mode_is_valid():
 
 
 def _brute_force_spread(result):
-    """Fewest differing positions over every ordered pair of distinct members,
+    """Fewest differing positions over every pair of members,
     as a fraction of n; 1.0 (vacuous) for a family of one."""
     arr = np.stack([p.map for p in result.permutations])
     count, n = arr.shape
