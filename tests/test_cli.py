@@ -98,6 +98,36 @@ def test_config_parsing(tmp_path):
     assert tuple(k.tag for k in config.estimators) == ("greedy", "lss")
 
 
+def test_config_every_key_parses_to_its_field_type():
+    # one value for each ExperimentConfig field, as text from a config file
+    config = config_from_mapping(
+        {
+            "scenario": "custom",
+            "n": "3",
+            "d": "7",
+            "sigma": "0.25",
+            "sigma_high": "2.5",
+            "sigma_low": "0.125",
+            "high_count": "4",
+            "alpha": "0.05",
+            "sigma_levels": "1, 2.0, 3",
+            "sweep": "1.5, 2.5,",
+            "trials": "11",
+            "seed": "13",
+            "estimators": " LSS , greedy,lsl",
+        }
+    )
+    assert config.scenario == "custom"
+    assert (config.n, config.d, config.high_count, config.trials, config.seed) == (3, 7, 4, 11, 13)
+    assert all(type(v) is int for v in (config.n, config.d, config.high_count, config.trials, config.seed))
+    assert (config.sigma, config.sigma_high, config.sigma_low, config.alpha) == (0.25, 2.5, 0.125, 0.05)
+    assert all(type(v) is float for v in (config.sigma, config.sigma_high, config.sigma_low, config.alpha))
+    assert config.sigma_levels == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in config.sigma_levels)
+    assert config.sweep == (1.5, 2.5)  # a blank part is skipped
+    assert tuple(k.tag for k in config.estimators) == ("lss", "greedy", "lsl")
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scenario = custom\nsweep = 1.0\nbogus = 3\n")
