@@ -18,9 +18,9 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
+import typing
 
 from . import harness, model, permgroup
 from .estimators import ESTIMATOR_NAMES, EstimatorKind, estimate
@@ -61,30 +61,27 @@ def parse_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+def _parse_value(kind, text: str):
+    """One config value, read as its ``ExperimentConfig`` field type; a
+    tuple is comma-separated, and a blank part is skipped."""
+    if kind in (str, int, float):
+        return kind(text)
+    parts = [part for part in text.split(",") if part.strip()]
+    if kind == tuple[EstimatorKind, ...]:
+        return tuple(EstimatorKind.from_name(part) for part in parts)
+    if kind in (tuple[float, ...], tuple[float, ...] | None):
+        return tuple(float(part) for part in parts)
+    raise TypeError(f"no config parser for {kind}")
 
 
 def config_from_mapping(mapping: dict[str, str]) -> harness.ExperimentConfig:
-    unknown = set(mapping) - {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    kinds = typing.get_type_hints(harness.ExperimentConfig)
+    unknown = set(mapping) - set(kinds)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "scenario" not in mapping or "sweep" not in mapping:
         raise ValueError("config must set at least 'scenario' and 'sweep'")
-    kwargs: dict = {"scenario": mapping["scenario"], "sweep": _parse_float_list(mapping["sweep"])}
-    for key, cast in (
-        ("n", int), ("d", int), ("high_count", int), ("trials", int), ("seed", int),
-        ("sigma", float), ("sigma_high", float), ("sigma_low", float), ("alpha", float),
-    ):
-        if key in mapping:
-            kwargs[key] = cast(mapping[key])
-    if "sigma_levels" in mapping:
-        kwargs["sigma_levels"] = _parse_float_list(mapping["sigma_levels"])
-    if "estimators" in mapping:
-        kwargs["estimators"] = tuple(
-            EstimatorKind.from_name(name) for name in mapping["estimators"].split(",") if name.strip()
-        )
-    return harness.ExperimentConfig(**kwargs)
+    return harness.ExperimentConfig(**{key: _parse_value(kinds[key], text) for key, text in mapping.items()})
 
 
 def _cmd_match(args) -> int:
