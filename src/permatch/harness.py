@@ -21,7 +21,7 @@ Scenarios
 - ``greedy-adversarial``: the two-feature high-dimensional configuration
   where nearest-neighbor matching fails; the sweep values are kappa.
 - ``custom``: like uniform-homoscedastic, but ``sigma_levels`` may give
-  explicit per-feature noise levels.
+  explicit per-feature noise levels; no other scenario accepts the key.
 
 Each record carries the realized separation of the trial's template set;
 summaries and plots are keyed by the configured sweep value.
@@ -128,7 +128,9 @@ class ExperimentConfig:
             hc = self.resolved_high_count
             if not (0 < hc <= self.n):
                 raise ValueError(f"high_count must be in (0, n], got {hc}")
-        if self.scenario == "custom" and self.sigma_levels is not None:
+        if self.sigma_levels is not None:
+            if self.scenario != "custom":
+                raise ValueError("sigma_levels is read only by the custom scenario")
             if len(self.sigma_levels) != self.n:
                 raise ValueError("sigma_levels must have one entry per feature")
         if self.scenario == "threshold-check" and any(v <= 0 for v in self.sweep):
@@ -169,7 +171,7 @@ def _build_trial(config: ExperimentConfig, sweep_value: float, seeds: tuple[int,
 
     if scenario in ("uniform-homoscedastic", "custom"):
         theta = model.uniform_box_features(config.n, config.d, sweep_value, theta_seed)
-        if scenario == "custom" and config.sigma_levels is not None:
+        if config.sigma_levels is not None:
             noise = model.NoiseSpec.heteroscedastic(config.sigma_levels)
         else:
             noise = model.NoiseSpec.homoscedastic(config.sigma)

@@ -289,9 +289,14 @@ class MatchInstance:
         """Read-only squared distances, entry (i, j) = ||first[j] - second[i]||^2.
 
         Computed on first access and kept; safe on the frozen instance
-        because both feature matrices are read-only.
+        because both feature matrices are read-only.  The features are
+        finite, so a non-finite entry can only be an overflow.
         """
-        return _readonly(pairwise_sqdist(self.second.vectors, self.first.vectors))
+        with np.errstate(over="ignore"):
+            sq = pairwise_sqdist(self.second.vectors, self.first.vectors)
+        if not np.isfinite(sq).all():
+            raise ValueError("squared distances overflow float64; rescale the features")
+        return _readonly(sq)
 
 
 def generate_instance(

@@ -1,10 +1,13 @@
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from permatch import (
+    ESTIMATOR_NAMES,
     LSL,
+    FeatureSet,
     NoiseSpec,
     estimate,
     generate_instance,
@@ -71,6 +74,21 @@ def test_match_bad_token_names_file_and_line(instance_files, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:3: could not convert string to float: 'abc'\n"
 
 
+@pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+def test_match_overflowing_distances_is_named(estimator, tmp_path, capsys):
+    # (1e200 - -1e200)^2 overflows float64: the error names the overflow,
+    # not a symptom of it downstream, and no numpy warning escapes.  The
+    # sigma column lets lsns and variance-greedy reach the distances too.
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    noise = NoiseSpec.homoscedastic(1.0)
+    write_features_csv(first, FeatureSet(np.array([[0.0], [1e200]])), noise)
+    write_features_csv(second, FeatureSet(np.array([[0.0], [-1e200]])), noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["match", str(first), str(second), "--estimator", estimator]) == 1
+    assert capsys.readouterr().err == "error: squared distances overflow float64; rescale the features\n"
+
+
 def test_bad_estimator_flag_is_validation_error(instance_files):
     first, second, _ = instance_files
     assert main(["match", str(first), str(second), "--estimator", "nearest"]) == 1
@@ -132,6 +150,19 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scenario = custom\nsweep = 1.0\nbogus = 3\n")
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_config_sigma_levels_outside_custom_rejected(tmp_path, capsys):
+    # uniform-homoscedastic never reads the key, so it must not run at sigma
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "scenario = uniform-homoscedastic\nn = 6\nd = 4\nsigma_levels = 5, 5, 5, 5, 5, 5\n"
+        "sweep = 2.0\ntrials = 3\nestimators = lss\n"
+    )
+    out = tmp_path / "o.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sigma_levels is read only by the custom scenario\n"
+    assert not out.exists()
 
 
 def test_config_missing_equals_rejected(tmp_path):

@@ -46,6 +46,8 @@ def test_config_validation():
         _config(scenario="greedy-adversarial", sweep=(0.0,))
     with pytest.raises(ValueError):
         _config(scenario="custom", sigma_levels=(1.0, 2.0))  # wrong length
+    with pytest.raises(ValueError, match="read only by the custom scenario"):
+        _config(sigma_levels=(5.0,) * 8)  # right length, but uniform-homoscedastic ignores it
     with pytest.raises(ValueError, match="high_count must be nonnegative"):
         _config(scenario="identity-heteroscedastic", n=8, d=8, high_count=-7)  # not the default
     with pytest.raises(ValueError, match="duplicate estimators"):
