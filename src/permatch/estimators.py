@@ -212,9 +212,8 @@ def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         if s.size == 0 or s[0] <= 0:
             raise ValueError("criterion matrix has rank 0")
+        # s[0] > 0 exceeds _SVD_RANK_RTOL * s[0], so the rank is at least 1
         rank = int(np.sum(s > _SVD_RANK_RTOL * s[0]))
-        if rank == 0:
-            raise ValueError("criterion matrix has rank 0")
         return u[:, :rank], s[:rank], vt[:rank]
 
     u1, s1, v1 = thin(A)

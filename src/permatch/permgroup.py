@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .metrics import l2_distance
 from .model import Permutation, random_permutation
 
 __all__ = [
@@ -259,13 +260,11 @@ def separated_family(n: int) -> PackingResult:
     rows = np.vstack(
         [np.arange(n, dtype=np.int64)[None, :]] + [_lift(t, n)[None, :] for t in inner]
     )
-    ident = np.arange(n)
-    radius = max(
-        math.sqrt(float(np.square(r - ident).sum()) / n) for r in rows
-    )
+    permutations = tuple(Permutation(r) for r in rows)
+    identity = Permutation.identity(n)
     return PackingResult(
-        permutations=tuple(Permutation(r) for r in rows),
-        radius_l2=radius,
+        permutations=permutations,
+        radius_l2=max(l2_distance(p, identity) for p in permutations),
         min_pairwise_hamming=2 * inner_spread / n,
         is_exhaustive=False,
     )
