@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,10 +7,15 @@ import pytest
 from permatch import (
     AssignmentSolution,
     CostMatrix,
+    NoiseSpec,
     Permutation,
     certify,
+    cost_lsl,
+    generate_instance,
+    random_permutation,
     solve_bruteforce,
     solve_hungarian,
+    uniform_box_features,
 )
 
 
@@ -268,3 +274,41 @@ def test_total_cost_equals_selected_sum():
     sol = solve_hungarian(cost)
     manual = sum(cost.entries[i, j] for i, j in enumerate(sol.assignment.map))
     assert sol.total_cost == pytest.approx(manual, rel=1e-12)
+
+
+def _pinned_costs():
+    theta = uniform_box_features(50, 50, 1.4, seed=5)
+    truth = random_permutation(np.random.default_rng(6), 50)
+    yield "lsl-50x50", cost_lsl(generate_instance(theta, NoiseSpec.homoscedastic(1.0), truth, 7))
+    yield "gaussian-12x20", CostMatrix(np.random.default_rng(12).standard_normal((12, 20)))
+    # entries 0-3: several tree rows reach a path column at the same length,
+    # and the earliest of them keeps it as predecessor
+    yield "ties-8x8", CostMatrix(np.random.default_rng(0).integers(0, 4, size=(8, 8)).astype(float))
+
+
+_SOLVER_PINS = {
+    "lsl-50x50": (
+        [21, 45, 29, 27, 37, 1, 0, 6, 44, 38, 32, 42, 33, 12, 9, 18, 24, 46, 10, 15, 17, 28, 26, 23, 39,
+         30, 35, 36, 11, 40, 19, 31, 8, 48, 41, 4, 16, 5, 47, 43, 22, 49, 14, 2, 34, 25, 13, 7, 20, 3],
+        "8ca1af656996f42e1302a87ca9c8c2437306cc6c6f996f204447c2e015401449",
+    ),
+    "gaussian-12x20": (
+        [12, 13, 7, 9, 5, 0, 10, 4, 17, 1, 3, 19],
+        "528e186a8f50b34191b57f4e8d1ce5642dbaa750946e903719c27a90ed40345a",
+    ),
+    "ties-8x8": (
+        [5, 0, 7, 3, 2, 1, 4, 6],
+        "3a6098f2992ed9139831c820283ff81d4f98af362b42f7e3bdee92816fdfdbb7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVER_PINS))
+def test_solver_output_is_pinned_bit_for_bit(name):
+    # The assignment and the float.hex of every dual potential; a solver
+    # rewrite that changes any last bit fails here.
+    sol = solve_hungarian(dict(_pinned_costs())[name])
+    potentials = ";".join(",".join(map(float.hex, p)) for p in (sol.row_potentials, sol.col_potentials))
+    assignment, digest = _SOLVER_PINS[name]
+    assert sol.assignment.map.tolist() == assignment
+    assert hashlib.sha256(potentials.encode()).hexdigest() == digest

@@ -169,6 +169,31 @@ def test_greedy_adversarial_scenario_runs():
     assert all(rec.kappa_bar == pytest.approx(2.5) for rec in records)
 
 
+# One trial per scenario: (scenario, config overrides, sweep index, trial,
+# kappa as float.hex, kappa_bar as float.hex).
+_SEPARATION_PINS = [
+    ("uniform-homoscedastic", dict(n=8, d=6, sweep=(2.0, 4.0)), 1, 1,
+     "0x1.baa808d60e6acp+0", "0x1.39015d66db74ap+0"),
+    ("identity-heteroscedastic", dict(n=12, d=12, sweep=(6.0,)), 0, 1,
+     "0x1.0f876ccdf6cd9p+3", "0x1.7ffffffffffffp+2"),
+    ("threshold-check", dict(n=10, d=10, sigma=2.0, sweep=(1.0,)), 0, 1,
+     "0x1.7fba0d7cbef28p+5", "0x1.0f55f6fcec5bdp+4"),
+    ("greedy-adversarial", dict(d=404, sweep=(2.5,)), 0, 1,
+     "0x1.4000000000000p+2", "0x1.4000000000001p+1"),
+    ("custom", dict(n=8, d=6, sigma_levels=(0.5, 1.0, 1.5, 2.0) * 2, sweep=(3.0,)), 0, 1,
+     "0x1.7c077b3f9d923p+0", "0x1.664b8462e269ap-1"),
+]
+
+
+@pytest.mark.parametrize("scenario, overrides, sweep_index, trial, kappa, kappa_bar", _SEPARATION_PINS,
+                         ids=[pin[0] for pin in _SEPARATION_PINS])
+def test_realized_separation_is_pinned(scenario, overrides, sweep_index, trial, kappa, kappa_bar):
+    config = ExperimentConfig(scenario=scenario, trials=2, seed=11,
+                              estimators=(EstimatorKind("lss"),), **overrides)
+    rec = run_experiment(config)[sweep_index * config.trials + trial]
+    assert (float.hex(rec.kappa), float.hex(rec.kappa_bar)) == (kappa, kappa_bar)
+
+
 def test_identity_heteroscedastic_scenario_runs():
     config = _config(
         scenario="identity-heteroscedastic", n=12, d=12, sweep=(6.0,), trials=2,
