@@ -127,38 +127,43 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     # Per-search buffers, reused: a scanned column has tent = +inf and
     # v_masked = -inf, so c_ij - v_masked_j = +inf never relaxes it.
     tent = np.empty(m)  # tentative path length to each unscanned column
-    dist = np.empty(m)  # final path length to each scanned column
-    prev = np.empty(m, dtype=np.int64)  # row before each column on that path
     v_masked = np.empty(m)
-    reduced = np.empty(m)
-    better = np.empty(m, dtype=bool)
+    # hist[s] is the reduced row relaxed at search step s; a search expands
+    # at most n rows, one per step
+    hist = np.empty((n, m))
     for start in leftover.tolist():
         tent.fill(np.inf)
         np.copyto(v_masked, v)
-        scanned = []  # columns in scan order; all but the last are matched
+        tree = []  # the row expanded at each step
+        scanned = []  # the column scanned at each step; all but the last are matched
+        lows = []  # path length to each scanned column
         i, low = start, 0.0
         while True:
+            reduced = hist[len(tree)]
             np.subtract(entries[i], v_masked, out=reduced)
             reduced += low - u[i]
-            np.less(reduced, tent, out=better)
             np.minimum(tent, reduced, out=tent)
-            prev[better] = i
             j = int(tent.argmin())
             low = tent[j]
-            dist[j] = low
             tent[j] = np.inf
             v_masked[j] = -np.inf
+            tree.append(i)
             scanned.append(j)
+            lows.append(low)
             if row_of[j] < 0:
                 break
             i = row_of[j]
-        # dist <= low on scanned columns, so v only falls; never-scanned (unmatched) columns keep v = 0
-        settle = low - dist[scanned]
+        # lows <= low, so v only falls; never-scanned (unmatched) columns keep v = 0
+        settle = low - np.array(lows)
         u[start] += low
         u[row_of[scanned[:-1]]] += settle[:-1]
         v[scanned] -= settle
-        while j >= 0:  # flip the path back through prev; start's column is -1
-            i = prev[j]
+        step_of = {col: step for step, col in enumerate(scanned)}
+        while j >= 0:  # flip the path back; start's column is -1
+            # a column's predecessor is the first row that reached it at its
+            # final length: the first minimum of its history up to its scan
+            step = step_of[j]
+            i = tree[int(hist[: step + 1, j].argmin())]
             row_of[j] = i
             col_of[i], j = j, col_of[i]
     return AssignmentSolution(

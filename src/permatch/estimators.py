@@ -250,12 +250,12 @@ def cost_general_lsl(instance: MatchInstance, reduction: CriterionReduction) -> 
 def _greedy_rows(scores: np.ndarray) -> Permutation:
     """Each row in index order takes its smallest untaken column; ties go to the lowest index."""
     n2, n1 = scores.shape
-    taken = np.zeros(n1, dtype=bool)
+    work = np.array(scores, dtype=float)  # a taken column becomes +inf
     mapping = np.empty(n2, dtype=np.int64)
     for i in range(n2):
-        j = int(np.argmin(np.where(taken, np.inf, scores[i])))
+        j = int(work[i].argmin())
         mapping[i] = j
-        taken[j] = True
+        work[:, j] = np.inf
     return Permutation(mapping, codomain=n1)
 
 

@@ -23,8 +23,10 @@ Scenarios
 - ``custom``: like uniform-homoscedastic, but ``sigma_levels`` may give
   explicit per-feature noise levels; no other scenario accepts the key.
 
-Each record carries the realized separation of the trial's template set;
-summaries and plots are keyed by the configured sweep value.
+Summaries and plots are keyed by the configured sweep value.  The realized
+separation of a trial's templates is not computed during a run; it is
+available on request through ``trial_separation``, which rebuilds that
+trial's templates from its streams.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import model
 from .estimators import EstimatorKind, estimate
-from .metrics import loss_01, loss_hamming, separation, separation_threshold
+from .metrics import SeparationReport, loss_01, loss_hamming, separation, separation_threshold
 
 __all__ = [
     "SCENARIOS",
@@ -48,6 +50,7 @@ __all__ = [
     "TrialRecord",
     "SummaryRow",
     "run_experiment",
+    "trial_separation",
     "aggregate",
     "emit",
     "read_summary_csv",
@@ -94,6 +97,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.sweep:
@@ -149,8 +156,6 @@ class TrialRecord:
     global_index: int  # sweep_index * trials + trial
     loss_01: int
     loss_hamming: float
-    kappa: float
-    kappa_bar: float
 
 
 def _trial_streams(seed: int, sweep_index: int, trial: int) -> tuple[int, int, int]:
@@ -160,40 +165,55 @@ def _trial_streams(seed: int, sweep_index: int, trial: int) -> tuple[int, int, i
     return int(a), int(b), int(c)
 
 
-def _build_trial(config: ExperimentConfig, sweep_value: float, seeds: tuple[int, int, int]):
-    """Produce (instance, separation report) for one trial."""
-    theta_seed, truth_seed, noise_seed = seeds
+def _trial_templates(config: ExperimentConfig, sweep_value: float, theta_seed: int):
+    """(templates, noise spec) of one trial."""
     scenario = config.scenario
     if scenario == "greedy-adversarial":
-        theta = model.adversarial_pair_features(config.d, sweep_value)
-        instance = model.greedy_adversarial_instance(config.d, sweep_value, noise_seed)
-        return instance, separation(theta, instance.first_noise)
-
+        # the levels model.greedy_adversarial_instance draws its instance with
+        noise = model.NoiseSpec.heteroscedastic([math.sqrt(3.0), 1.0])
+        return model.adversarial_pair_features(config.d, sweep_value), noise
     if scenario in ("uniform-homoscedastic", "custom"):
         theta = model.uniform_box_features(config.n, config.d, sweep_value, theta_seed)
         if config.sigma_levels is not None:
-            noise = model.NoiseSpec.heteroscedastic(config.sigma_levels)
-        else:
-            noise = model.NoiseSpec.homoscedastic(config.sigma)
-    elif scenario == "identity-heteroscedastic":
+            return theta, model.NoiseSpec.heteroscedastic(config.sigma_levels)
+        return theta, model.NoiseSpec.homoscedastic(config.sigma)
+    if scenario == "identity-heteroscedastic":
         theta = model.scaled_identity_features(config.n, sweep_value)
         levels = np.full(config.n, config.sigma_low)
         rng = np.random.default_rng(theta_seed)
         high = model.random_permutation(rng, config.n).map[: config.resolved_high_count]
         levels[high] = config.sigma_high
-        noise = model.NoiseSpec.heteroscedastic(levels)
-    elif scenario == "threshold-check":
+        return theta, model.NoiseSpec.heteroscedastic(levels)
+    if scenario == "threshold-check":
         target = sweep_value * separation_threshold(config.alpha, config.n, config.d, config.sigma) / config.sigma
-        theta = model.least_favorable_features(
-            np.full(config.n, config.sigma), target, d=config.d
-        )
-        noise = model.NoiseSpec.homoscedastic(config.sigma)
-    else:  # unreachable: config validation covers SCENARIOS
-        raise AssertionError(scenario)
+        theta = model.least_favorable_features(np.full(config.n, config.sigma), target, d=config.d)
+        return theta, model.NoiseSpec.homoscedastic(config.sigma)
+    raise AssertionError(scenario)  # unreachable: config validation covers SCENARIOS
 
+
+def _build_trial(config: ExperimentConfig, sweep_value: float, seeds: tuple[int, int, int]) -> model.MatchInstance:
+    """Draw one trial's instance."""
+    theta_seed, truth_seed, noise_seed = seeds
+    if config.scenario == "greedy-adversarial":
+        return model.greedy_adversarial_instance(config.d, sweep_value, noise_seed)
+    theta, noise = _trial_templates(config, sweep_value, theta_seed)
     truth = model.random_permutation(np.random.default_rng(truth_seed), theta.n)
-    instance = model.generate_instance(theta, noise, truth, noise_seed)
-    return instance, separation(theta, noise)
+    return model.generate_instance(theta, noise, truth, noise_seed)
+
+
+def trial_separation(config: ExperimentConfig, sweep_index: int, trial: int) -> SeparationReport:
+    """The realized separation of one trial's templates, rebuilt from its streams.
+
+    ``run_experiment`` does not compute it; the trial is the record with
+    ``global_index == sweep_index * config.trials + trial``.
+    """
+    if not (0 <= sweep_index < len(config.sweep) and 0 <= trial < config.trials):
+        raise ValueError(
+            f"no trial ({sweep_index}, {trial}) in {len(config.sweep)} sweep values x {config.trials} trials"
+        )
+    theta_seed, _, _ = _trial_streams(config.seed, sweep_index, trial)
+    theta, noise = _trial_templates(config, float(config.sweep[sweep_index]), theta_seed)
+    return separation(theta, noise)
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -202,7 +222,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     for sweep_index, sweep_value in enumerate(config.sweep):
         for trial in range(config.trials):
             streams = _trial_streams(config.seed, sweep_index, trial)
-            instance, report = _build_trial(config, float(sweep_value), streams)
+            instance = _build_trial(config, float(sweep_value), streams)
             for kind in config.estimators:
                 estimated = estimate(instance, kind)
                 records.append(
@@ -213,8 +233,6 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                         global_index=sweep_index * config.trials + trial,
                         loss_01=loss_01(estimated, instance.truth),
                         loss_hamming=loss_hamming(estimated, instance.truth),
-                        kappa=report.kappa,
-                        kappa_bar=report.kappa_bar,
                     )
                 )
     return records

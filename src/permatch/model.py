@@ -232,13 +232,17 @@ def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     Streams each second-set row against blocks of first-set rows: no
     cancellation-prone ||a||^2 + ||b||^2 - 2 a.b expansion and no
     (n x m x d) intermediate.  Each entry is one sum over d, reduced in the
-    same order whatever the block length.
+    same order whatever the block length.  For finite features a non-finite
+    entry can only be an overflow, which raises ValueError.
     """
     out = np.empty((second.shape[0], first.shape[0]))
     step = max(1, _SQDIST_BLOCK // first.shape[1])
-    for i, row in enumerate(second):
-        for j in range(0, first.shape[0], step):
-            out[i, j : j + step] = np.square(first[j : j + step] - row).sum(axis=1)
+    with np.errstate(over="ignore"):
+        for i, row in enumerate(second):
+            for j in range(0, first.shape[0], step):
+                out[i, j : j + step] = np.square(first[j : j + step] - row).sum(axis=1)
+    if not np.isfinite(out).all():
+        raise ValueError("squared distances overflow float64; rescale the features")
     return out
 
 
@@ -289,14 +293,9 @@ class MatchInstance:
         """Read-only squared distances, entry (i, j) = ||first[j] - second[i]||^2.
 
         Computed on first access and kept; safe on the frozen instance
-        because both feature matrices are read-only.  The features are
-        finite, so a non-finite entry can only be an overflow.
+        because both feature matrices are read-only.
         """
-        with np.errstate(over="ignore"):
-            sq = pairwise_sqdist(self.second.vectors, self.first.vectors)
-        if not np.isfinite(sq).all():
-            raise ValueError("squared distances overflow float64; rescale the features")
-        return _readonly(sq)
+        return _readonly(pairwise_sqdist(self.second.vectors, self.first.vectors))
 
 
 def generate_instance(
@@ -403,6 +402,8 @@ def adversarial_pair_features(d: int, kappa: float) -> FeatureSet:
     theta_1 = 0 and theta_2 = 2*kappa*e_1, so with levels (sqrt(3), 1) the
     noise-normalized separation equals kappa exactly.
     """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     vectors = np.zeros((2, d))

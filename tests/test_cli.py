@@ -240,6 +240,29 @@ def test_bad_sweep_value_fails_before_any_trial(tmp_path, monkeypatch):
         assert main(["experiment", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("scenario = greedy-adversarial\nd = 0\n", "d must be at least 1, got 0"),
+        ("scenario = greedy-adversarial\nn = 1\nd = 500\n", "n must be at least 2, got 1"),
+        ("scenario = uniform-homoscedastic\nd = -1\n", "d must be at least 1, got -1"),
+        ("scenario = uniform-homoscedastic\nn = -2\n", "n must be at least 2, got -2"),
+        ("scenario = uniform-homoscedastic\nn = 1\n", "n must be at least 2, got 1"),
+    ],
+)
+def test_experiment_rejects_bad_sizes_before_any_trial(body, message, tmp_path, monkeypatch, capsys):
+    from permatch import harness
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_build_trial", no_trials)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(body + "sweep = 1.0\ntrials = 1\n")
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["homoscedastic", "heteroscedastic"])
 def test_desk_summary_is_byte_identical_to_pinned_csv(name, tmp_path):
     # A fixed (config, seed) yields a byte-identical summary.  A change that

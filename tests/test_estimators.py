@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,15 @@ def test_general_lsl_illumination_invariance_hits_floor():
     for i in range(4):
         assert entries[i, i] == pytest.approx(math.log(1e-30))
     assert estimate(inst, EstimatorKind.general_lsl(red)) == Permutation.identity(4)
+
+
+def test_general_lsl_overflow_is_named():
+    inst = _manual_instance([[0.0], [1e200]], [[0.0], [-1e200]])
+    kind = EstimatorKind.general_lsl(reduce_criterion(np.eye(1), np.eye(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            estimate(inst, kind)
 
 
 def test_estimator_kind_validation():

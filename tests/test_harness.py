@@ -10,6 +10,7 @@ from permatch import (
     aggregate,
     emit,
     run_experiment,
+    trial_separation,
 )
 from permatch.harness import read_summary_csv
 
@@ -84,8 +85,6 @@ def test_distance_matrix_built_once_per_instance(monkeypatch):
         calls.append(second.shape)
         return kernel(second, first)
 
-    # metrics.separation keeps its own reference: template distances are
-    # not the instance's
     monkeypatch.setattr(model, "pairwise_sqdist", counting)
     monkeypatch.setattr(estimators, "pairwise_sqdist", counting)
     kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl"))
@@ -102,8 +101,36 @@ def test_run_experiment_records_shape():
     for rec in records:
         assert 0.0 <= rec.loss_hamming <= 1.0
         assert rec.loss_01 in (0, 1)
-        assert rec.kappa_bar >= 0.0
         assert rec.loss_hamming <= rec.loss_01
+    for sweep_index in range(len(config.sweep)):
+        for trial in range(config.trials):
+            assert trial_separation(config, sweep_index, trial).kappa_bar >= 0.0
+
+
+def test_sweep_does_not_compute_separation(monkeypatch):
+    from permatch import harness
+
+    def no_separation(*args):
+        raise AssertionError("separation ran during a sweep")
+
+    monkeypatch.setattr(harness, "separation", no_separation)
+    kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl", "variance-greedy"))
+    for scenario, overrides in (
+        ("uniform-homoscedastic", {}),
+        ("identity-heteroscedastic", dict(d=8)),
+        ("threshold-check", {}),
+        ("greedy-adversarial", dict(d=404, sweep=(2.5,))),
+        ("custom", dict(sigma_levels=(1.0, 2.0) * 4)),
+    ):
+        config = _config(scenario=scenario, estimators=kinds, trials=2, **overrides)
+        assert len(run_experiment(config)) == len(config.sweep) * config.trials * len(kinds)
+
+
+def test_trial_separation_rejects_a_trial_outside_the_run():
+    config = _config()
+    for sweep_index, trial in ((2, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="no trial"):
+            trial_separation(config, sweep_index, trial)
 
 
 def test_zero_noise_limit_gives_zero_loss():
@@ -119,9 +146,10 @@ def test_estimator_subsets_share_per_trial_draws():
     both = run_experiment(_config())
     lss_only = run_experiment(_config(estimators=(EstimatorKind("lss"),)))
     lss_from_both = [r for r in both if r.estimator == "lss"]
+    assert len(lss_from_both) == len(lss_only)
     for a, b in zip(lss_from_both, lss_only):
-        assert (a.sweep_value, a.seed, a.loss_01, a.loss_hamming, a.kappa) == (
-            b.sweep_value, b.seed, b.loss_01, b.loss_hamming, b.kappa)
+        assert (a.sweep_value, a.seed, a.global_index, a.loss_01, a.loss_hamming) == (
+            b.sweep_value, b.seed, b.global_index, b.loss_01, b.loss_hamming)
 
 
 def test_distinct_seeds_share_no_trial():
@@ -129,8 +157,13 @@ def test_distinct_seeds_share_no_trial():
     # Seeding each trial by seed XOR trial index would replay seed 0's
     # trials under seed 1 in another order.
     def separations(seed):
-        records = run_experiment(_config(seed=seed, trials=4, estimators=(EstimatorKind("lss"),)))
-        return {(rec.sweep_value, rec.kappa, rec.kappa_bar) for rec in records}
+        config = _config(seed=seed, trials=4)
+        return {
+            (config.sweep[s], report.kappa, report.kappa_bar)
+            for s in range(len(config.sweep))
+            for t in range(config.trials)
+            for report in [trial_separation(config, s, t)]
+        }
 
     zero, one = separations(0), separations(1)
     assert len(zero) == len(one) == 8
@@ -153,10 +186,10 @@ def test_threshold_check_scenario_pins_relative_separation():
         sweep=(1.0,), trials=2,
         estimators=(EstimatorKind("lss"),),
     )
-    records = run_experiment(config)
+    assert len(run_experiment(config)) == 2
     target = separation_threshold(0.1, 10, 10, 2.0) / 2.0
-    for rec in records:
-        assert rec.kappa_bar == pytest.approx(target, rel=1e-9)
+    for trial in range(config.trials):
+        assert trial_separation(config, 0, trial).kappa_bar == pytest.approx(target, rel=1e-9)
 
 
 def test_greedy_adversarial_scenario_runs():
@@ -166,7 +199,7 @@ def test_greedy_adversarial_scenario_runs():
     )
     records = run_experiment(config)
     assert len(records) == 6
-    assert all(rec.kappa_bar == pytest.approx(2.5) for rec in records)
+    assert all(trial_separation(config, 0, t).kappa_bar == pytest.approx(2.5) for t in range(config.trials))
 
 
 # One trial per scenario: (scenario, config overrides, sweep index, trial,
@@ -190,8 +223,8 @@ _SEPARATION_PINS = [
 def test_realized_separation_is_pinned(scenario, overrides, sweep_index, trial, kappa, kappa_bar):
     config = ExperimentConfig(scenario=scenario, trials=2, seed=11,
                               estimators=(EstimatorKind("lss"),), **overrides)
-    rec = run_experiment(config)[sweep_index * config.trials + trial]
-    assert (float.hex(rec.kappa), float.hex(rec.kappa_bar)) == (kappa, kappa_bar)
+    report = trial_separation(config, sweep_index, trial)
+    assert (float.hex(report.kappa), float.hex(report.kappa_bar)) == (kappa, kappa_bar)
 
 
 def test_identity_heteroscedastic_scenario_runs():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_separation_invariances():
     assert relabeled.kappa == pytest.approx(rep.kappa, rel=1e-12)
     with pytest.raises(ValueError):
         separation(FeatureSet([[0.0]]), noise)
+
+
+def test_separation_overflow_is_named():
+    # the closest pair is 1e200 apart, which float64 holds, but the farthest
+    # pair's squared distance overflows: the error says so instead of
+    # returning kappa = inf
+    theta = FeatureSet([[0.0], [1e200], [-1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            separation(theta, NoiseSpec.homoscedastic(1.0))
 
 
 # ------------------------------------------------------------------ rate curve

@@ -240,6 +240,11 @@ def test_adversarial_instance_relative_separation():
     assert rep.kappa_bar == pytest.approx(2.5, rel=1e-12)
 
 
+def test_adversarial_pair_needs_a_dimension():
+    with pytest.raises(ValueError, match="d must be at least 1, got 0"):
+        adversarial_pair_features(0, 1.0)
+
+
 def test_adversarial_instance_valid_inside_range():
     import warnings
 
