@@ -15,8 +15,12 @@ with the duals settled once per augmentation (Crouse, "On implementing 2D
 rectangular assignment algorithms", IEEE TAES, 2016).  The search reuses
 its buffers and masks a scanned column instead of testing it: its
 tentative length becomes +inf and its slot in a copy of v becomes -inf, so
-it never relaxes again.  Column reduction is not used: it can leave
-v_j > 0, which is dual-infeasible when n < m.
+it never relaxes again.  It keeps no predecessor array: each step writes
+its reduced row into a history buffer, and when the path is flipped back a
+column's predecessor is the row whose step first reached the column's
+final length, the first minimum of the column's history.  A step is then
+four numpy calls (subtract, add, minimum, argmin).  Column reduction is
+not used: it can leave v_j > 0, which is dual-infeasible when n < m.
 
 Certificate: the assignment LP (every row sums to 1, every column to at
 most 1; the Birkhoff polytope when n = m) has the dual max sum(u) + sum(v)
@@ -107,9 +111,12 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     Starts from Jonker & Volgenant's row reduction (*Computing* 38, 1987):
     u_i = min_j c_ij, v = 0, and each row in index order takes its argmin
     column if that column is still free.  Each row left over then runs one
-    masked Dijkstra search, starting from u_i = 0.  Potentials keep the
-    input's floating precision (log- and ratio-valued costs are used as-is)
-    and are returned for ``certify``.
+    masked Dijkstra search, starting from u_i = 0.  Search step s writes its
+    reduced row into row s of an n x m history allocated once per solve;
+    the path flip reads each column's predecessor from that history, and a
+    scanned column's path length is the length at which it was scanned.
+    Potentials keep the input's floating precision (log- and ratio-valued
+    costs are used as-is) and are returned for ``certify``.
     """
     entries = cost.entries
     n, m = entries.shape
@@ -150,9 +157,9 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
             tree.append(i)
             scanned.append(j)
             lows.append(low)
-            if row_of[j] < 0:
-                break
             i = row_of[j]
+            if i < 0:
+                break
         # lows <= low, so v only falls; never-scanned (unmatched) columns keep v = 0
         settle = low - np.array(lows)
         u[start] += low
