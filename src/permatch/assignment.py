@@ -165,14 +165,15 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
         u[start] += low
         u[row_of[scanned[:-1]]] += settle[:-1]
         v[scanned] -= settle
-        step_of = {col: step for step, col in enumerate(scanned)}
-        while j >= 0:  # flip the path back; start's column is -1
-            # a column's predecessor is the first row that reached it at its
-            # final length: the first minimum of its history up to its scan
-            step = step_of[j]
-            i = tree[int(hist[: step + 1, j].argmin())]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
+        step = len(tree) - 1
+        while step >= 0:  # flip the path back, from the free column to start
+            j = scanned[step]
+            # j's predecessor is the first row that reached it at its final
+            # length: the first minimum of its history up to its scan
+            k = int(hist[: step + 1, j].argmin())
+            row_of[j] = tree[k]
+            col_of[tree[k]] = j
+            step = k - 1  # tree[k] was reached through the column scanned at step k - 1
     return AssignmentSolution(
         assignment=Permutation(col_of, codomain=m),
         total_cost=_selected_sum(entries, col_of),
