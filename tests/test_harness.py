@@ -158,12 +158,8 @@ def test_distinct_seeds_share_no_trial():
     # trials under seed 1 in another order.
     def separations(seed):
         config = _config(seed=seed, trials=4)
-        return {
-            (config.sweep[s], report.kappa, report.kappa_bar)
-            for s in range(len(config.sweep))
-            for t in range(config.trials)
-            for report in [trial_separation(config, s, t)]
-        }
+        reports = [(s, trial_separation(config, s, t)) for s in range(len(config.sweep)) for t in range(config.trials)]
+        return {(config.sweep[s], r.kappa, r.kappa_bar) for s, r in reports}
 
     zero, one = separations(0), separations(1)
     assert len(zero) == len(one) == 8
