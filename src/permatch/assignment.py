@@ -19,8 +19,13 @@ it never relaxes again.  It keeps no predecessor array: each step writes
 its reduced row into a history buffer, and when the path is flipped back a
 column's predecessor is the row whose step first reached the column's
 final length, the first minimum of the column's history.  A step is then
-four numpy calls (subtract, add, minimum, argmin).  Column reduction is
-not used: it can leave v_j > 0, which is dual-infeasible when n < m.
+four numpy calls (subtract, add, minimum, argmin).  Every array a solve
+allocates has a size fixed by n and m, never by the data (how many rows
+share an argmin, how long a path runs): two solves of the same shape make
+the same allocations, so the allocator state a solve leaves behind, and
+the speed of what runs after it in the process, does not depend on the
+instance.  Column reduction is not used: it can leave v_j > 0, which is
+dual-infeasible when n < m.
 
 Certificate: the assignment LP (every row sums to 1, every column to at
 most 1; the Birkhoff polytope when n = m) has the dual max sum(u) + sum(v)
@@ -115,6 +120,8 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     reduced row into row s of an n x m history allocated once per solve;
     the path flip reads each column's predecessor from that history, and a
     scanned column's path length is the length at which it was scanned.
+    The duals are settled and the path flipped one scalar at a time, so no
+    temporary array is sized by the path.
     Potentials keep the input's floating precision (log- and ratio-valued
     costs are used as-is) and are returned for ``certify``.
     """
@@ -126,27 +133,27 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     v = np.zeros(m)
     col_of = np.full(n, -1, dtype=np.int64)  # row -> matched column
     row_of = np.full(m, -1, dtype=np.int64)  # column -> matched row; -1 = free
-    cols, first = np.unique(best, return_index=True)  # a column's first claimant gets it
-    row_of[cols] = first
-    col_of[first] = cols
-    leftover = np.flatnonzero(col_of < 0)
-    u[leftover] = 0.0
+    claim = np.full(m, n, dtype=np.int64)  # a column's first claimant gets it
+    np.minimum.at(claim, best, np.arange(n))
+    np.copyto(row_of, claim, where=claim < n)
+    np.copyto(col_of, best, where=claim[best] == np.arange(n))
+    u[col_of < 0] = 0.0
     # Per-search buffers, reused: a scanned column has tent = +inf and
     # v_masked = -inf, so c_ij - v_masked_j = +inf never relaxes it.
     tent = np.empty(m)  # tentative path length to each unscanned column
     v_masked = np.empty(m)
-    # hist[s] is the reduced row relaxed at search step s; a search expands
-    # at most n rows, one per step
+    # Step s of a search writes its reduced row into hist[s] and records the
+    # row it expanded, the column it scanned and that column's path length;
+    # a search expands at most n rows, one per step.
     hist = np.empty((n, m))
-    for start in leftover.tolist():
+    tree, scanned, lows = [0] * n, [0] * n, [0.0] * n
+    column = np.empty(n)  # one column of hist, made contiguous for argmin
+    for start in [i for i, c in enumerate(col_of.tolist()) if c < 0]:
         tent.fill(np.inf)
         np.copyto(v_masked, v)
-        tree = []  # the row expanded at each step
-        scanned = []  # the column scanned at each step; all but the last are matched
-        lows = []  # path length to each scanned column
-        i, low = start, 0.0
+        i, low, step = start, 0.0, 0
         while True:
-            reduced = hist[len(tree)]
+            reduced = hist[step]
             np.subtract(entries[i], v_masked, out=reduced)
             reduced += low - u[i]
             np.minimum(tent, reduced, out=tent)
@@ -154,23 +161,24 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
             low = tent[j]
             tent[j] = np.inf
             v_masked[j] = -np.inf
-            tree.append(i)
-            scanned.append(j)
-            lows.append(low)
-            i = row_of[j]
+            tree[step], scanned[step], lows[step] = i, j, low
+            i = int(row_of[j])
             if i < 0:
                 break
+            step += 1
         # lows <= low, so v only falls; never-scanned (unmatched) columns keep v = 0
-        settle = low - np.array(lows)
         u[start] += low
-        u[row_of[scanned[:-1]]] += settle[:-1]
-        v[scanned] -= settle
-        step = len(tree) - 1
+        for k in range(step + 1):
+            settle = low - lows[k]
+            v[scanned[k]] -= settle
+            if k < step:  # scanned[k] is matched to the row expanded next
+                u[tree[k + 1]] += settle
         while step >= 0:  # flip the path back, from the free column to start
             j = scanned[step]
             # j's predecessor is the first row that reached it at its final
             # length: the first minimum of its history up to its scan
-            k = int(hist[: step + 1, j].argmin())
+            np.copyto(column[: step + 1], hist[: step + 1, j])
+            k = int(column[: step + 1].argmin())
             row_of[j] = tree[k]
             col_of[tree[k]] = j
             step = k - 1  # tree[k] was reached through the column scanned at step k - 1
