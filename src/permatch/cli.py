@@ -107,6 +107,9 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         mapping["seed"] = str(args.seed)
     config = config_from_mapping(mapping)
+    unread = sorted(set(mapping) - config.read_keys)
+    if unread:
+        raise ValueError(f"{unread[0]} is not read by the {config.scenario} scenario")
     records = harness.run_experiment(config)
     summary = harness.aggregate(records)
     harness.emit(summary, args.out, fmt=args.format, xlabel=harness.SWEEP_LABELS[config.scenario])

@@ -10,18 +10,22 @@ trial.
 
 Scenarios
 ---------
-- ``uniform-homoscedastic``: templates i.i.d. uniform on [0, tau]^d with a
-  shared noise level; the sweep values are tau.
-- ``identity-heteroscedastic``: templates tau * e_i with two noise levels;
-  a few features (``high_count``, default max(2, n // 20)) are drawn at the
-  high level, the rest at the low level; the sweep values are tau.
-- ``threshold-check``: least-favorable templates pinned at a multiple of
-  the guaranteed-recovery separation threshold for (alpha, n, d, sigma);
-  the sweep values are that multiple (1.0 = exactly at the threshold).
-- ``greedy-adversarial``: the two-feature high-dimensional configuration
+Each scenario's trials read scenario, sweep, trials, seed, estimators and
+the config keys in parentheses (``ExperimentConfig.read_keys``).
+
+- ``uniform-homoscedastic`` (n, d, sigma): templates i.i.d. uniform on
+  [0, tau]^d with a shared noise level; the sweep values are tau.
+- ``identity-heteroscedastic`` (n, d = n, sigma_high, sigma_low, high_count):
+  templates tau * e_i, with ``high_count`` features (default max(2, n // 20))
+  at the high noise level and the rest at the low; the sweep values are tau.
+- ``threshold-check`` (n, d, sigma, alpha): least-favorable templates pinned
+  at a multiple of the guaranteed-recovery separation threshold; the sweep
+  values are that multiple (1.0 = exactly at the threshold).
+- ``greedy-adversarial`` (d): the two-feature high-dimensional configuration
   where nearest-neighbor matching fails; the sweep values are kappa.
-- ``custom``: like uniform-homoscedastic, but ``sigma_levels`` may give
-  explicit per-feature noise levels; no other scenario accepts the key.
+- ``custom`` (n, d, sigma or sigma_levels): like uniform-homoscedastic, but
+  ``sigma_levels`` may give explicit per-feature noise levels in place of
+  sigma; no other scenario accepts the key.
 
 Summaries and plots are keyed by the configured sweep value.  The realized
 separation of a trial's templates is not computed during a run; it is
@@ -56,14 +60,16 @@ __all__ = [
     "read_summary_csv",
 ]
 
-# Each scenario with the axis label of its sweep values.
-SWEEP_LABELS = {
-    "uniform-homoscedastic": "tau",
-    "identity-heteroscedastic": "tau",
-    "threshold-check": "threshold multiple",
-    "greedy-adversarial": "kappa",
-    "custom": "tau",
+# Each scenario: the axis label of its sweep values, and the config keys its
+# trials read besides the five every run reads.  Only a tau may be 0.
+_SCENARIO_SPECS = {
+    "uniform-homoscedastic": ("tau", ("n", "d", "sigma")),
+    "identity-heteroscedastic": ("tau", ("n", "d", "sigma_high", "sigma_low", "high_count")),
+    "threshold-check": ("threshold multiple", ("n", "d", "sigma", "alpha")),
+    "greedy-adversarial": ("kappa", ("d",)),
+    "custom": ("tau", ("n", "d", "sigma", "sigma_levels")),
 }
+SWEEP_LABELS = {scenario: label for scenario, (label, _) in _SCENARIO_SPECS.items()}
 SCENARIOS = tuple(SWEEP_LABELS)
 
 # How a trial's random streams derive from (config seed, sweep index, trial
@@ -117,18 +123,17 @@ class ExperimentConfig:
         tags = [kind.tag for kind in self.estimators]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate estimators in {tags}")
-        # Every scenario's sweep value is a tau >= 0, a kappa > 0 or a
-        # multiple > 0; checked here so a bad value fails before any trial.
+        # Checked here so a bad value fails before any trial.
         if not all(math.isfinite(v) and v >= 0 for v in self.sweep):
             raise ValueError(f"sweep values must be finite and nonnegative, got {list(self.sweep)}")
+        label = SWEEP_LABELS[self.scenario]
+        if label != "tau" and 0.0 in self.sweep:
+            raise ValueError(f"{self.scenario} sweep values are {label}s and must be positive")
         if len(set(self.sweep)) != len(self.sweep):
             raise ValueError(f"duplicate sweep values in {list(self.sweep)}")
         for kind in self.estimators:
             if kind.tag == "general-lsl":
                 raise ValueError("general-lsl is not configurable through experiment configs")
-        if self.scenario == "greedy-adversarial":
-            if any(v <= 0 for v in self.sweep):
-                raise ValueError("greedy-adversarial sweep values are kappa and must be positive")
         if self.scenario == "identity-heteroscedastic":
             if self.d != self.n:
                 raise ValueError("identity-heteroscedastic templates need d == n")
@@ -136,16 +141,20 @@ class ExperimentConfig:
             if not (0 < hc <= self.n):
                 raise ValueError(f"high_count must be in (0, n], got {hc}")
         if self.sigma_levels is not None:
-            if self.scenario != "custom":
+            if "sigma_levels" not in _SCENARIO_SPECS[self.scenario][1]:
                 raise ValueError("sigma_levels is read only by the custom scenario")
             if len(self.sigma_levels) != self.n:
                 raise ValueError("sigma_levels must have one entry per feature")
-        if self.scenario == "threshold-check" and any(v <= 0 for v in self.sweep):
-            raise ValueError("threshold-check sweep values are threshold multiples and must be positive")
 
     @property
     def resolved_high_count(self) -> int:
         return self.high_count if self.high_count > 0 else max(2, self.n // 20)
+
+    @property
+    def read_keys(self) -> set[str]:
+        """The config keys this config's trials read (sigma_levels replaces sigma)."""
+        keys = {"scenario", "sweep", "trials", "seed", "estimators", *_SCENARIO_SPECS[self.scenario][1]}
+        return keys - {"sigma"} if self.sigma_levels is not None else keys
 
 
 @dataclass(frozen=True)
@@ -169,9 +178,7 @@ def _trial_templates(config: ExperimentConfig, sweep_value: float, theta_seed: i
     """(templates, noise spec) of one trial."""
     scenario = config.scenario
     if scenario == "greedy-adversarial":
-        # the levels model.greedy_adversarial_instance draws its instance with
-        noise = model.NoiseSpec.heteroscedastic([math.sqrt(3.0), 1.0])
-        return model.adversarial_pair_features(config.d, sweep_value), noise
+        return model.adversarial_pair_features(config.d, sweep_value), model.ADVERSARIAL_NOISE
     if scenario in ("uniform-homoscedastic", "custom"):
         theta = model.uniform_box_features(config.n, config.d, sweep_value, theta_seed)
         if config.sigma_levels is not None:

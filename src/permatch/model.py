@@ -49,6 +49,7 @@ __all__ = [
     "uniform_box_features",
     "scaled_identity_features",
     "least_favorable_features",
+    "ADVERSARIAL_NOISE",
     "adversarial_pair_features",
     "greedy_adversarial_instance",
     "read_features_csv",
@@ -392,8 +393,9 @@ def least_favorable_features(noise_levels, kappa: float, d: int = 1) -> FeatureS
     return FeatureSet(vectors)
 
 
-# Hypothesis range for the adversarial two-feature configuration below.
+# Hypothesis range and noise levels of the adversarial two-feature configuration below.
 _ADVERSARIAL_MIN_D = math.ceil(225 * math.log(6))  # = 404
+ADVERSARIAL_NOISE = NoiseSpec.heteroscedastic([math.sqrt(3.0), 1.0])
 
 
 def adversarial_pair_features(d: int, kappa: float) -> FeatureSet:
@@ -437,8 +439,7 @@ def greedy_adversarial_instance(d: int, kappa: float, seed: int) -> MatchInstanc
             stacklevel=2,
         )
     theta = adversarial_pair_features(d, kappa)
-    noise = NoiseSpec.heteroscedastic([math.sqrt(3.0), 1.0])
-    return generate_instance(theta, noise, Permutation.identity(2), seed)
+    return generate_instance(theta, ADVERSARIAL_NOISE, Permutation.identity(2), seed)
 
 
 # ---------------------------------------------------------------------------

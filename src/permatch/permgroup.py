@@ -79,8 +79,6 @@ def _strict_budget(n: int, R: float) -> int:
 def _ball_members(n: int, budget: int) -> list[tuple[int, ...]]:
     """All permutations with sum (pi(k) - k)^2 <= budget, in lexicographic
     order, by depth-first search with displacement pruning."""
-    if budget < 0:
-        return []
     out: list[tuple[int, ...]] = []
     used = [False] * n
     cur = [0] * n

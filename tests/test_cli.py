@@ -74,6 +74,35 @@ def test_match_bad_token_names_file_and_line(instance_files, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:3: could not convert string to float: 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty file, expected a header row"),
+        ("id,x1,x3\n1,0.5,0.5\n", "{path}: header must be id,x1,x2, got id,x1,x3"),
+        ("id,x1,x2\n1,0.5,0.5\n2,0.5\n", "{path}:3: expected 3 columns, got 2"),
+        ("id,x1,x2\n", "{path}: no feature rows"),
+    ],
+    ids=["empty", "bad-header", "short-row", "header-only"],
+)
+def test_match_rejects_malformed_second_file(text, message, tmp_path, capsys):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_features_csv(first, uniform_box_features(3, 2, 1.0, seed=0))
+    second.write_text(text)
+    assert main(["match", str(first), str(second)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=second)}\n"
+
+
+def test_match_skips_blank_lines(instance_files, tmp_path, capsys):
+    first, second, _ = instance_files
+    assert main(["match", str(first), str(second)]) == 0
+    expected = capsys.readouterr().out
+    lines = second.read_text().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+    assert main(["match", str(first), str(spaced)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
 def test_match_overflowing_distances_is_named(estimator, tmp_path, capsys):
     # (1e200 - -1e200)^2 overflows float64: the error names the overflow,
@@ -263,6 +292,40 @@ def test_experiment_rejects_bad_sizes_before_any_trial(body, message, tmp_path, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "scenario, body, key",
+    [
+        ("uniform-homoscedastic", "n = 6\nsigma_high = 50\n", "sigma_high"),
+        ("uniform-homoscedastic", "n = 6\nalpha = 0.9\n", "alpha"),
+        ("uniform-homoscedastic", "n = 6\nhigh_count = 3\n", "high_count"),
+        ("uniform-homoscedastic", "n = 6\nsigma_low = 7\n", "sigma_low"),
+        ("identity-heteroscedastic", "n = 6\nd = 6\nsigma = 2\n", "sigma"),
+        ("greedy-adversarial", "d = 500\nsigma = 9\n", "sigma"),
+        ("greedy-adversarial", "d = 500\nn = 77\n", "n"),
+        ("threshold-check", "n = 6\nsigma_high = 50\n", "sigma_high"),
+        ("custom", "n = 6\nsigma = 1\nsigma_levels = 1, 2, 3, 4, 5, 6\n", "sigma"),
+    ],
+    ids=[
+        "uniform-sigma_high", "uniform-alpha", "uniform-high_count", "uniform-sigma_low", "identity-sigma",
+        "adversarial-sigma", "adversarial-n", "threshold-sigma_high", "custom-sigma-and-levels",
+    ],
+)
+def test_experiment_rejects_keys_the_scenario_does_not_read(scenario, body, key, tmp_path, monkeypatch, capsys):
+    # a key the scenario's trials never read would leave the summary unchanged
+    from permatch import harness
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_build_trial", no_trials)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"scenario = {scenario}\n{body}sweep = 1.0\ntrials = 1\nestimators = lss\n")
+    out = tmp_path / "o.csv"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {key} is not read by the {scenario} scenario\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["homoscedastic", "heteroscedastic"])
 def test_desk_summary_is_byte_identical_to_pinned_csv(name, tmp_path):
     # A fixed (config, seed) yields a byte-identical summary.  A change that
@@ -310,6 +373,11 @@ def test_rates_rejects_non_finite_sigma(sigma, capsys):
 def test_packing_rejects_non_finite_or_negative_radius(radius, capsys):
     assert main(["packing", "--n", "5", "--radius", radius]) == 1
     assert capsys.readouterr().err == "error: radius must be finite and nonnegative\n"
+
+
+def test_packing_rejects_n_below_1(capsys):
+    assert main(["packing", "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: n must be positive\n"
 
 
 def test_missing_subcommand_is_validation_error(capsys):

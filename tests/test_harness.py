@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +11,7 @@ from permatch import (
     aggregate,
     emit,
     run_experiment,
+    reduce_criterion,
     trial_separation,
 )
 from permatch.harness import read_summary_csv
@@ -60,6 +62,22 @@ def test_config_validation():
         _config(sweep=(1.4, -1.0))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         _config(sweep=(1.0, float("nan"), float("nan")))  # nan != nan slips past the duplicate check
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(seed=-1), "seed must be nonnegative"),
+        (dict(scenario="identity-heteroscedastic", n=8, d=8, high_count=9), "high_count must be in (0, n], got 9"),
+        (dict(scenario="threshold-check", sweep=(0.0, 1.0)),
+         "threshold-check sweep values are threshold multiples and must be positive"),
+        (dict(estimators=(EstimatorKind.general_lsl(reduce_criterion(np.eye(1), np.eye(1))),)),
+         "general-lsl is not configurable through experiment configs"),
+    ],
+)
+def test_config_rejects_out_of_range_values(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _config(**overrides)
 
 
 def test_high_count_default_scales_with_n():
