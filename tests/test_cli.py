@@ -338,6 +338,19 @@ def test_desk_summary_is_byte_identical_to_pinned_csv(name, tmp_path):
     assert out.read_bytes() == (root / "data" / f"{name}-desk-trials8-seed11.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name, seed", [("homoscedastic", 1202), ("heteroscedastic", 909)])
+def test_full_summary_is_byte_identical_to_pinned_csv(name, seed, tmp_path):
+    # Trial t of sweep value i draws from SeedSequence([seed, i, t]) whatever
+    # the trial count, so two trials at the config's own seed replay the first
+    # two trials of each sweep value of the full n = d = 200 run.
+    root = pathlib.Path(__file__).resolve().parent
+    out = tmp_path / "summary.csv"
+    cfg = root.parent / "configs" / f"{name}-full.cfg"
+    assert f"seed = {seed}\n" in cfg.read_text()
+    assert main(["experiment", str(cfg), "--out", str(out), "--trials", "2"]) == 0
+    assert out.read_bytes() == (root / "data" / f"{name}-full-trials2-seed{seed}.csv").read_bytes()
+
+
 def test_experiment_output_io_error(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scenario = uniform-homoscedastic\nn = 6\nd = 4\nsweep = 2.0\ntrials = 1\nestimators = lss\n")
