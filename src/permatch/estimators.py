@@ -21,7 +21,10 @@ The estimators:
 - LSS (least sum of squares): assignment under squared distances; the
   likelihood maximizer when all noise levels are equal.
 - LSNS (least sum of normalized squares): squared distances divided by the
-  summed variances of the two features; needs known levels.
+  summed variances of the two features; needs known levels.  When each side
+  has one shared level (both noise specs hold a single ``sigma``), that
+  divisor is a constant, so LSNS has LSS's minimiser and ``estimate``
+  returns LSS's solution for it: one solve serves both.
 - LSL (least sum of logarithms): assignment under log squared distances;
   the likelihood maximizer when levels are unknown but travel with the
   features.  A floor on the squared distance keeps the log finite on
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import CostMatrix, solve_hungarian
+from .assignment import AssignmentSolution, CostMatrix, solve_hungarian
 from .model import MatchInstance, Permutation, pairwise_sqdist
 
 __all__ = [
@@ -281,15 +284,44 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
     return _greedy_rows(np.abs(instance.sqdist / (2.0 * instance.first.d) - levels[None, :] ** 2))
 
 
+# Key in a MatchInstance's __dict__ under which _lss_solution keeps LSS's
+# solution, as cached_property keeps ``sqdist``.
+_LSS_SOLUTION_KEY = "_lss_solution"
+
+
+def _lss_solution(instance: MatchInstance) -> AssignmentSolution:
+    """LSS's solution, solved on first use and kept with the instance."""
+    solution = instance.__dict__.get(_LSS_SOLUTION_KEY)
+    if solution is None:
+        solution = instance.__dict__[_LSS_SOLUTION_KEY] = solve_hungarian(cost_lss(instance))
+    return solution
+
+
+def _one_level_per_side(instance: MatchInstance) -> bool:
+    """Whether both noise specs hold a single sigma, so LSNS's divisor is one constant."""
+    return (
+        getattr(instance.first_noise, "sigma", None) is not None
+        and getattr(instance.second_noise, "sigma", None) is not None
+    )
+
+
 def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:
-    """Run one estimator on an instance and return the matched permutation."""
+    """Run one estimator on an instance and return the matched permutation.
+
+    LSS's solution is kept with the instance.  When both noise specs hold a
+    single sigma, LSNS returns that solution too, solving LSS first if it
+    has not run: LSNS's costs are LSS's divided by one constant.  One solve
+    then serves both, whichever runs first, and LSNS's result does not
+    depend on whether LSS runs.  Per-feature levels, even equal ones, get
+    their own LSNS solve.
+    """
     if kind.tag == "greedy":
         return estimate_greedy(instance)
     if kind.tag == "variance-greedy":
         return estimate_variance_greedy(instance)
-    if kind.tag == "lss":
-        cost = cost_lss(instance)
-    elif kind.tag == "lsns":
+    if kind.tag == "lss" or (kind.tag == "lsns" and _one_level_per_side(instance)):
+        return _lss_solution(instance).assignment
+    if kind.tag == "lsns":
         cost = cost_lsns(instance)
     elif kind.tag == "lsl":
         cost = cost_lsl(instance)

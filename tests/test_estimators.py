@@ -11,13 +11,16 @@ from permatch import (
     LSNS,
     LSS,
     VARIANCE_GREEDY,
+    AssignmentSolution,
     CriterionReduction,
     CostMatrix,
     EstimatorKind,
+    ExperimentConfig,
     FeatureSet,
     MatchInstance,
     NoiseSpec,
     Permutation,
+    certify,
     cost_general_lsl,
     cost_lsl,
     cost_lsns,
@@ -146,6 +149,95 @@ def test_homoscedastic_lss_equals_lsns():
     for seed in range(10):
         inst, _ = _instance(12, 6, 0.8, seed=seed, tau=2.0)
         assert estimate(inst, LSS) == estimate(inst, LSNS)
+
+
+def _two_level_instance(n, m, d, first_sigma, second_sigma, seed):
+    """n of m templates observed on the second side, one noise level per side.
+
+    The box side 1.5 * sqrt(s^2 + s#^2) gets a fifth to a half of the matches
+    wrong at d = 50, so the solves search long augmenting paths.
+    """
+    rng = np.random.default_rng(seed)
+    theta = uniform_box_features(m, d, 1.5 * math.hypot(first_sigma, second_sigma), seed=seed).vectors
+    truth = Permutation(random_permutation(rng, m).map[:n], codomain=m)
+    return MatchInstance(
+        first=FeatureSet(theta + first_sigma * rng.standard_normal((m, d))),
+        second=FeatureSet(theta[truth.map] + second_sigma * rng.standard_normal((n, d))),
+        first_noise=NoiseSpec.homoscedastic(first_sigma),
+        second_noise=NoiseSpec.homoscedastic(second_sigma),
+        truth=truth,
+    )
+
+
+def _count_solves_and_lsns_costs(monkeypatch):
+    from permatch import estimators
+
+    counts = {"solve_hungarian": 0, "cost_lsns": 0}
+
+    def counted(name):
+        original = getattr(estimators, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(estimators, name, wrapper)
+
+    counted("solve_hungarian")
+    counted("cost_lsns")
+    return counts
+
+
+@pytest.mark.parametrize("order", [(LSS, LSNS), (LSNS, LSS)], ids=["lss-first", "lsns-first"])
+@pytest.mark.parametrize("sigmas", [(0.8, 0.8), (0.5, 1.7)], ids=["equal", "unequal"])
+def test_one_level_per_side_solves_lss_and_lsns_once(order, sigmas, monkeypatch):
+    inst = _two_level_instance(12, 12, 6, *sigmas, seed=3)
+    counts = _count_solves_and_lsns_costs(monkeypatch)
+    first, second = (estimate(inst, kind) for kind in order)
+    assert first == second
+    assert counts == {"solve_hungarian": 1, "cost_lsns": 0}
+
+
+@pytest.mark.parametrize("order", [(LSS, LSNS), (LSNS, LSS)], ids=["lss-first", "lsns-first"])
+@pytest.mark.parametrize("case", ["heteroscedastic", "custom-equal-levels"])
+def test_per_feature_levels_keep_their_own_lsns_solve(order, case, monkeypatch):
+    from permatch import harness
+
+    if case == "heteroscedastic":
+        inst, _ = _instance(12, 6, None, seed=3, tau=2.0, hetero=[0.3, 0.9, 1.4, 2.0] * 3)
+    else:
+        config = ExperimentConfig(
+            scenario="custom", n=12, d=6, sigma_levels=(0.8,) * 12, sweep=(2.0,), trials=1, seed=3,
+            estimators=order,
+        )
+        inst = harness._build_trial(config, 2.0, harness._trial_streams(config.seed, 0, 0))
+        assert inst.first_noise.sigma is None
+    counts = _count_solves_and_lsns_costs(monkeypatch)
+    for kind in order:
+        estimate(inst, kind)
+    assert counts == {"solve_hungarian": 2, "cost_lsns": 1}
+
+
+@pytest.mark.parametrize(
+    "first_sigma, second_sigma, n, m",
+    [(1.0, 1.0, 50, 50), (0.5, 1.7, 50, 50), (1.7, 0.5, 50, 50), (0.3, 2.9, 30, 50)],
+)
+def test_lsns_result_reused_from_lss_is_certified_for_lsns_costs(first_sigma, second_sigma, n, m):
+    # The kept LSS solution's potentials, divided by the constant s^2 + s#^2,
+    # are dual potentials for LSNS's own costs: LP duality proves the reused
+    # assignment optimal for LSNS, rather than inferring it from the algebra.
+    from permatch import estimators
+
+    scale = first_sigma**2 + second_sigma**2
+    for seed in range(10):
+        inst = _two_level_instance(n, m, m, first_sigma, second_sigma, seed)
+        got = estimate(inst, LSNS)
+        lss = estimators._lss_solution(inst)
+        assert got is lss.assignment
+        reused = AssignmentSolution(
+            got, lss.total_cost / scale, lss.row_potentials / scale, lss.col_potentials / scale
+        )
+        assert certify(cost_lsns(inst), reused)
 
 
 def test_lss_lsl_positionwise_agreement_at_benign_operating_point():

@@ -161,13 +161,19 @@ def test_zero_noise_limit_gives_zero_loss():
 
 def test_estimator_subsets_share_per_trial_draws():
     # removing an estimator must not shift any other estimator's records
-    both = run_experiment(_config())
-    lss_only = run_experiment(_config(estimators=(EstimatorKind("lss"),)))
-    lss_from_both = [r for r in both if r.estimator == "lss"]
-    assert len(lss_from_both) == len(lss_only)
-    for a, b in zip(lss_from_both, lss_only):
-        assert (a.sweep_value, a.seed, a.global_index, a.loss_01, a.loss_hamming) == (
-            b.sweep_value, b.seed, b.global_index, b.loss_01, b.loss_hamming)
+    def records(tag, *tags):
+        config = _config(estimators=tuple(EstimatorKind(t) for t in tags))
+        return [(r.sweep_value, r.seed, r.global_index, r.loss_01, r.loss_hamming)
+                for r in run_experiment(config) if r.estimator == tag]
+
+    lss_only = records("lss", "lss")
+    assert len(lss_only) == 10
+    assert records("lss", "greedy", "lss") == lss_only
+    # LSNS reuses LSS's solve on homoscedastic trials, whether or not LSS runs
+    lsns_only = records("lsns", "lsns")
+    assert len(lsns_only) == 10
+    assert records("lsns", "lsns", "lss") == lsns_only
+    assert records("lsns", "greedy", "lss", "lsns", "lsl") == lsns_only
 
 
 def test_distinct_seeds_share_no_trial():
