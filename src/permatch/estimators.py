@@ -12,6 +12,10 @@ Every cost is a transform of one distance matrix, the instance's
 ``sqdist`` (entry (i, j) = ||X_j - X#_i||^2), which is computed once per
 instance and shared by all estimators run on it; general LSL, which
 compares transformed features, calls the same kernel, ``pairwise_sqdist``.
+The LSS, LSNS and LSL costs are kept with the instance as well, and each
+keeps its solution, so ``solve_together`` can build and solve the costs of
+many instances at once while ``estimate`` still returns every result
+through ``solve_hungarian``.
 
 The estimators:
 
@@ -24,7 +28,7 @@ The estimators:
   summed variances of the two features; needs known levels.  When each side
   has one shared level (both noise specs hold a single ``sigma``), that
   divisor is a constant, so LSNS has LSS's minimiser and ``estimate``
-  returns LSS's solution for it: one solve serves both.
+  solves LSS's cost for it: one solve serves both.
 - LSL (least sum of logarithms): assignment under log squared distances;
   the likelihood maximizer when levels are unknown but travel with the
   features.  A floor on the squared distance keeps the log finite on
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import AssignmentSolution, CostMatrix, solve_hungarian
+from .assignment import CostMatrix, solve_hungarian, solve_in_lockstep
 from .model import MatchInstance, Permutation, pairwise_sqdist
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "cost_lsl",
     "cost_general_lsl",
     "reduce_criterion",
+    "solve_together",
     "estimate",
     "estimate_greedy",
     "estimate_variance_greedy",
@@ -284,19 +289,6 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
     return _greedy_rows(np.abs(instance.sqdist / (2.0 * instance.first.d) - levels[None, :] ** 2))
 
 
-# Key in a MatchInstance's __dict__ under which _lss_solution keeps LSS's
-# solution, as cached_property keeps ``sqdist``.
-_LSS_SOLUTION_KEY = "_lss_solution"
-
-
-def _lss_solution(instance: MatchInstance) -> AssignmentSolution:
-    """LSS's solution, solved on first use and kept with the instance."""
-    solution = instance.__dict__.get(_LSS_SOLUTION_KEY)
-    if solution is None:
-        solution = instance.__dict__[_LSS_SOLUTION_KEY] = solve_hungarian(cost_lss(instance))
-    return solution
-
-
 def _one_level_per_side(instance: MatchInstance) -> bool:
     """Whether both noise specs hold a single sigma, so LSNS's divisor is one constant."""
     return (
@@ -305,26 +297,67 @@ def _one_level_per_side(instance: MatchInstance) -> bool:
     )
 
 
+# Key in a MatchInstance's __dict__ under which _kept_cost keeps the
+# instance's assignment costs by estimator tag, as cached_property keeps
+# ``sqdist``; each cost in turn keeps its solution.
+_COSTS_KEY = "_assignment_costs"
+
+
+def _kept_cost(instance: MatchInstance, tag: str) -> CostMatrix:
+    """The instance's LSS, LSNS or LSL cost, built on first use and kept with it.
+
+    LSNS on one level per side is LSS's cost, the same object.
+    """
+    if tag == "lsns" and _one_level_per_side(instance):
+        tag = "lss"
+    costs = instance.__dict__.setdefault(_COSTS_KEY, {})
+    if tag not in costs:
+        if tag == "lss":
+            costs[tag] = cost_lss(instance)
+        elif tag == "lsns":
+            costs[tag] = cost_lsns(instance)
+        else:
+            costs[tag] = cost_lsl(instance)
+    return costs[tag]
+
+
+def solve_together(instances, kinds) -> list[MatchInstance]:
+    """Build the instances' assignment costs for ``kinds`` and solve them together.
+
+    Takes any iterable of instances and builds each one's distinct LSS,
+    LSNS or LSL costs as it arrives, so that a freshly drawn instance's
+    distance matrix is computed while its features are still in cache.
+    Each cost is kept with its instance and handed to ``solve_in_lockstep``,
+    which keeps each solution it finds with its cost; ``estimate`` then
+    returns them through ``solve_hungarian``, with the same results as
+    without this call.  Returns the instances, in order.
+    """
+    tags = [kind.tag for kind in kinds if kind.tag in ("lss", "lsns", "lsl")]
+    consumed, costs = [], []
+    for instance in instances:
+        consumed.append(instance)
+        costs += [_kept_cost(instance, tag) for tag in tags]
+    solve_in_lockstep(costs)
+    return consumed
+
+
 def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:
     """Run one estimator on an instance and return the matched permutation.
 
-    LSS's solution is kept with the instance.  When both noise specs hold a
-    single sigma, LSNS returns that solution too, solving LSS first if it
-    has not run: LSNS's costs are LSS's divided by one constant.  One solve
-    then serves both, whichever runs first, and LSNS's result does not
-    depend on whether LSS runs.  Per-feature levels, even equal ones, get
-    their own LSNS solve.
+    LSS, LSNS and LSL costs are kept with the instance and each keeps its
+    solution, so each is built and solved once however often it is asked
+    for, and ``solve_together`` may solve them ahead.  When both noise
+    specs hold a single sigma, LSNS's costs are LSS's divided by one
+    constant, so LSNS uses LSS's cost and solution: one solve serves both,
+    whichever runs first, and LSNS's result does not depend on whether LSS
+    runs.  Per-feature levels, even equal ones, get their own LSNS solve.
     """
     if kind.tag == "greedy":
         return estimate_greedy(instance)
     if kind.tag == "variance-greedy":
         return estimate_variance_greedy(instance)
-    if kind.tag == "lss" or (kind.tag == "lsns" and _one_level_per_side(instance)):
-        return _lss_solution(instance).assignment
-    if kind.tag == "lsns":
-        cost = cost_lsns(instance)
-    elif kind.tag == "lsl":
-        cost = cost_lsl(instance)
-    else:
+    if kind.tag == "general-lsl":
         cost = cost_general_lsl(instance, kind.reduction)
+    else:
+        cost = _kept_cost(instance, kind.tag)
     return solve_hungarian(cost).assignment

@@ -15,8 +15,10 @@ from permatch import (
     random_permutation,
     solve_bruteforce,
     solve_hungarian,
+    solve_in_lockstep,
     uniform_box_features,
 )
+from permatch import assignment
 
 
 def test_cost_matrix_validation():
@@ -312,3 +314,76 @@ def test_solver_output_is_pinned_bit_for_bit(name):
     assignment, digest = _SOLVER_PINS[name]
     assert sol.assignment.map.tolist() == assignment
     assert hashlib.sha256(potentials.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------------------ lockstep
+
+def _bits(solution):
+    """The assignment and the float.hex of both potentials."""
+    return (
+        solution.assignment.map.tolist(),
+        [float.hex(x) for x in solution.row_potentials],
+        [float.hex(x) for x in solution.col_potentials],
+    )
+
+
+def _homo_n50_costs():
+    """The 40 LSS and LSL costs of a desk-size homoscedastic config: tau 1.4 to 3.5, 4 trials each."""
+    from permatch import ExperimentConfig, cost_lss, harness
+
+    config = ExperimentConfig(
+        scenario="uniform-homoscedastic", n=50, d=50, sigma=1.0, sweep=(1.4, 1.9, 2.4, 2.9, 3.5), trials=4, seed=1202
+    )
+    for index, value in enumerate(config.sweep):
+        for trial in range(config.trials):
+            instance = harness._build_trial(config, value, harness._trial_streams(config.seed, index, trial))
+            yield cost_lss(instance).entries
+            yield cost_lsl(instance).entries
+
+
+def _lockstep_stacks():
+    rng = np.random.default_rng(21)
+    yield "homo-n50", list(_homo_n50_costs())
+    yield "rectangular-12x20", [rng.standard_normal((12, 20)) for _ in range(20)]
+    # every row's cheapest column is its own, so the start places every row
+    yield "no-search", [np.eye(9)[rng.permutation(9)] * -1.0 + rng.random((9, 9)) * 0.5 for _ in range(16)]
+    yield "ties-8x8", [rng.integers(0, 4, size=(8, 8)).astype(float) for _ in range(30)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _lockstep_stacks()])
+def test_lockstep_solutions_equal_solve_hungarian_bit_for_bit(name):
+    stack = dict(_lockstep_stacks())[name]
+    assert len(stack) >= assignment._LOCKSTEP_MIN
+    costs = [CostMatrix(entries) for entries in stack]
+    solve_in_lockstep(costs)
+    for entries, cost in zip(stack, costs):
+        kept = cost._solution
+        assert kept is not None and solve_hungarian(cost) is kept
+        assert _bits(kept) == _bits(solve_hungarian(CostMatrix(entries)))
+        assert certify(cost, kept)
+    if name == "no-search":
+        assert all(entries.argmin(axis=1).tolist() == cost._solution.assignment.map.tolist()
+                   for entries, cost in zip(stack, costs))
+
+
+def test_lockstep_groups_by_shape_and_leaves_shallow_groups_to_solve_hungarian():
+    rng = np.random.default_rng(22)
+    deep = [CostMatrix(rng.standard_normal((6, 9))) for _ in range(assignment._LOCKSTEP_MIN)]
+    shallow = [CostMatrix(rng.standard_normal((7, 7))) for _ in range(assignment._LOCKSTEP_MIN - 1)]
+    mixed = [cost for pair in zip(deep, shallow) for cost in pair] + deep[len(shallow):]
+    solve_in_lockstep(mixed + deep[:3])  # a repeated matrix is solved once
+    assert all(cost._solution is not None for cost in deep)
+    assert all(cost._solution is None for cost in shallow)
+    for cost in shallow:
+        solution = solve_hungarian(cost)  # solved on demand, then kept
+        assert cost._solution is solution and certify(cost, solution)
+        assert _bits(solution) == _bits(solve_hungarian(CostMatrix(cost.entries)))
+
+
+def test_kept_solution_is_read_only():
+    cost = CostMatrix(np.random.default_rng(23).standard_normal((5, 6)))
+    solution = solve_hungarian(cost)
+    assert solve_hungarian(cost) is solution
+    for array in (solution.row_potentials, solution.col_potentials, solution.assignment.map):
+        with pytest.raises(ValueError):
+            array[0] = 0

@@ -8,8 +8,12 @@ from permatch import (
     EstimatorKind,
     ExperimentConfig,
     SummaryRow,
+    TrialRecord,
     aggregate,
     emit,
+    estimate,
+    loss_01,
+    loss_hamming,
     run_experiment,
     reduce_criterion,
     trial_separation,
@@ -174,6 +178,75 @@ def test_estimator_subsets_share_per_trial_draws():
     assert len(lsns_only) == 10
     assert records("lsns", "lsns", "lss") == lsns_only
     assert records("lsns", "greedy", "lss", "lsns", "lsl") == lsns_only
+
+
+_ALL_KINDS = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl", "variance-greedy"))
+
+
+def _one_instance_at_a_time(config):
+    """run_experiment's records, from an estimate loop that holds one instance at a time."""
+    from permatch import harness
+
+    records = []
+    for index, value in enumerate(config.sweep):
+        for trial in range(config.trials):
+            instance = harness._build_trial(config, float(value), harness._trial_streams(config.seed, index, trial))
+            for kind in config.estimators:
+                estimated = estimate(instance, kind)
+                records.append(TrialRecord(
+                    float(value), kind.tag, config.seed, index * config.trials + trial,
+                    loss_01(estimated, instance.truth), loss_hamming(estimated, instance.truth),
+                ))
+    return records
+
+
+def _lockstep_stack_sizes(monkeypatch):
+    from permatch import assignment
+
+    sizes = []
+    solve_stack = assignment._solve_stack
+
+    def counted(costs):
+        sizes.append(len(costs))
+        return solve_stack(costs)
+
+    monkeypatch.setattr(assignment, "_solve_stack", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("uniform-homoscedastic", {}),
+        ("identity-heteroscedastic", dict(d=8)),
+        ("threshold-check", {}),
+        ("greedy-adversarial", dict(d=404, sweep=(2.0, 2.5))),
+        ("custom", dict(sigma_levels=(0.5, 1.0, 1.5, 2.0) * 2)),  # LSNS's own costs join the stack
+    ],
+)
+def test_records_equal_one_instance_at_a_time(scenario, overrides, monkeypatch):
+    sizes = _lockstep_stack_sizes(monkeypatch)
+    config = _config(scenario=scenario, estimators=_ALL_KINDS, trials=8, **overrides)
+    records = run_experiment(config)
+    assert sizes  # the sweep's assignments were solved in lockstep
+    assert records == _one_instance_at_a_time(config)
+
+
+def test_records_equal_one_instance_at_a_time_across_chunks(monkeypatch):
+    from permatch import harness
+
+    sizes = _lockstep_stack_sizes(monkeypatch)
+    config = _config(estimators=_ALL_KINDS, trials=10)
+    expected = _one_instance_at_a_time(config)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", harness._CHUNK_BYTES // harness._chunk_trials(config) * 9)
+    assert harness._chunk_trials(config) == 9
+    assert run_experiment(config) == expected
+    # chunks of 9, 9 and 2 instances with an LSS and an LSL cost each
+    # (LSNS shares LSS's); the last chunk's 4 are solved one at a time
+    assert sizes == [18, 18]
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
+    assert run_experiment(config) == expected
+    assert sizes == [18, 18]
 
 
 def test_distinct_seeds_share_no_trial():
