@@ -18,7 +18,7 @@ from permatch import (
     solve_in_lockstep,
     uniform_box_features,
 )
-from permatch import assignment
+from permatch.assignment import _LOCKSTEP_MIN
 
 
 def test_cost_matrix_validation():
@@ -353,7 +353,7 @@ def _lockstep_stacks():
 @pytest.mark.parametrize("name", [name for name, _ in _lockstep_stacks()])
 def test_lockstep_solutions_equal_solve_hungarian_bit_for_bit(name):
     stack = dict(_lockstep_stacks())[name]
-    assert len(stack) >= assignment._LOCKSTEP_MIN
+    assert len(stack) >= _LOCKSTEP_MIN
     costs = [CostMatrix(entries) for entries in stack]
     solve_in_lockstep(costs)
     for entries, cost in zip(stack, costs):
@@ -368,8 +368,8 @@ def test_lockstep_solutions_equal_solve_hungarian_bit_for_bit(name):
 
 def test_lockstep_groups_by_shape_and_leaves_shallow_groups_to_solve_hungarian():
     rng = np.random.default_rng(22)
-    deep = [CostMatrix(rng.standard_normal((6, 9))) for _ in range(assignment._LOCKSTEP_MIN)]
-    shallow = [CostMatrix(rng.standard_normal((7, 7))) for _ in range(assignment._LOCKSTEP_MIN - 1)]
+    deep = [CostMatrix(rng.standard_normal((6, 9))) for _ in range(_LOCKSTEP_MIN)]
+    shallow = [CostMatrix(rng.standard_normal((7, 7))) for _ in range(_LOCKSTEP_MIN - 1)]
     mixed = [cost for pair in zip(deep, shallow) for cost in pair] + deep[len(shallow):]
     solve_in_lockstep(mixed + deep[:3])  # a repeated matrix is solved once
     assert all(cost._solution is not None for cost in deep)
