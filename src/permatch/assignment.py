@@ -21,13 +21,17 @@ column's predecessor is the row whose step first reached the column's
 final length, the first minimum of the column's history.  A step is then
 four numpy calls (subtract, add, minimum, argmin).  When a search ends,
 its duals are settled by array operations over the scanned columns and
-the path is flipped one column at a time.  Every array ``solve_hungarian``
+the path is flipped one column at a time, with one argmin over the
+column's strided history per edge.  Every array ``solve_hungarian``
 allocates has a size fixed by n and m, never by the data (how many rows
 share an argmin, how long a path runs): two solves of the same shape make
 the same allocations, so the allocator state a solve leaves behind, and
 the speed of what runs after it in the process, does not depend on the
-instance.  Column reduction is not used: it can leave v_j > 0, which is
-dual-infeasible when n < m.
+instance.  The one path-sized buffer is the contiguous copy numpy's
+argmin makes of a strided history column: at most n floats, which numpy
+serves from its own small-block cache below 1 KiB (n <= 128) and which
+stays far below glibc's 128 KiB mmap threshold.  Column reduction is not
+used: it can leave v_j > 0, which is dual-infeasible when n < m.
 
 Lockstep: a search step costs a few microseconds of numpy call overhead on
 rows of a few hundred entries, so ``solve_in_lockstep`` runs the searches
@@ -171,7 +175,6 @@ class _PathBuffers:
     def __init__(self, n: int):
         self.tree = np.empty(n, dtype=np.int64)
         self.settle = np.empty(n)
-        self.column = np.empty(n)
 
 
 def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, buffers: _PathBuffers) -> None:
@@ -182,9 +185,11 @@ def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, buffer
     row expanded at step k.  The row expanded at step k + 1 is the one
     matched to scanned[k]; the scanned columns are distinct and so are
     those rows, so each dual moves once and array updates over the path
-    give the same bits as one scalar update per column.
+    give the same bits as one scalar update per column.  The updates use
+    ``ufunc.at`` on the n-long buffers: a fancy-index update such as
+    ``v[scanned] -= settle`` would allocate temporaries sized by the path.
     """
-    tree, settle, column = buffers.tree, buffers.settle, buffers.column
+    tree, settle = buffers.tree, buffers.settle
     tree[0] = start
     u[start] += low
     if step:  # a one-step search scanned its free column at length low: nothing else moves
@@ -198,11 +203,8 @@ def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, buffer
         j = scanned[step]
         # j's predecessor is the first row that reached it at its final
         # length: the first minimum of its history up to its scan (step 0
-        # had only start)
-        k = 0
-        if step:
-            np.copyto(column[: step + 1], hist[: step + 1, j])
-            k = int(column[: step + 1].argmin())
+        # had only start), taken on the strided column in one call
+        k = int(hist[: step + 1, j].argmin()) if step else 0
         row_of[j] = tree[k]
         col_of[tree[k]] = j
         step = k - 1  # tree[k] was reached through the column scanned at step k - 1
@@ -234,7 +236,8 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     reduced row into row s of an n x m history allocated once per solve;
     the path flip reads each column's predecessor from that history, and a
     scanned column's path length is the length at which it was scanned.
-    Every temporary is sized by n or m, never by the path.
+    Every temporary is sized by n or m, never by the path, except numpy's
+    internal copy of at most n floats in the flip's strided argmin.
     Potentials keep the input's floating precision (log- and ratio-valued
     costs are used as-is) and are returned, read-only, for ``certify``.
     """

@@ -22,6 +22,10 @@ Distances
 ---------
 ``pairwise_sqdist`` is the one feature-to-feature distance kernel: every
 estimator cost and the template separation are transforms of its output.
+It blocks both sets, up to ``_SQDIST_BLOCK`` differences per block, into
+one buffer allocated per call: a small instance takes a few numpy calls,
+not a few per row, and a large one allocates nothing per step, so its
+speed does not depend on the state of the process's heap.
 ``MatchInstance.sqdist`` holds its result for an instance, computed on
 first use and then shared by every estimator run on that instance.
 """
@@ -222,36 +226,50 @@ class Permutation:
         return f"Permutation({self.map.tolist()}, codomain={self.codomain})"
 
 
-# Elements per block of first-set rows in pairwise_sqdist (256 KiB of
-# float64): the per-block temporary stays in cache however large d is.
+# Elements per block of pairwise_sqdist (256 KiB of float64): the block
+# buffer stays in cache however large d is.
 _SQDIST_BLOCK = 2**15
 
 
 def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Squared distances, entry (i, j) = ||first[j] - second[i]||^2.
 
-    Streams each second-set row against blocks of first-set rows: no
-    cancellation-prone ||a||^2 + ||b||^2 - 2 a.b expansion and no
-    (n x m x d) intermediate.  Each entry is one sum over d, reduced in the
-    same order whatever the block length.  For finite features a non-finite
-    entry can only be an overflow, which raises ValueError.
+    Computes blocks of (second-set rows) x (first-set rows) x d differences
+    in one buffer allocated per call, of at most ``_SQDIST_BLOCK`` elements
+    (or d, if d is larger): no cancellation-prone ||a||^2 + ||b||^2 - 2 a.b
+    expansion, no (n x m x d) intermediate, and no temporary per step, so
+    the kernel's speed does not hang on the allocator's state.  Blocking
+    both sets makes a small instance a few numpy calls instead of a few per
+    row (50 x 50 at d = 50 takes 4 steps, not 50).  Each entry is one
+    contiguous sum over d, reduced in the same order whatever the block
+    shape.  For finite features a non-finite entry can only be an overflow,
+    which raises ValueError.
     """
-    out = np.empty((second.shape[0], first.shape[0]))
-    step = max(1, _SQDIST_BLOCK // first.shape[1])
+    (n, d), m = second.shape, first.shape[0]
+    out = np.empty((n, m))
+    fstep = max(1, min(m, _SQDIST_BLOCK // d))
+    sstep = max(1, min(n, _SQDIST_BLOCK // (fstep * d)))
+    buf = np.empty((sstep, fstep, d))
     with np.errstate(over="ignore"):
-        for i, row in enumerate(second):
-            for j in range(0, first.shape[0], step):
-                out[i, j : j + step] = np.square(first[j : j + step] - row).sum(axis=1)
+        for i in range(0, n, sstep):
+            for j in range(0, m, fstep):
+                b = np.subtract(first[None, j : j + fstep], second[i : i + sstep, None], out=buf[: n - i, : m - j])
+                np.square(b, out=b)
+                b.sum(axis=2, out=out[i : i + sstep, j : j + fstep])
     if not np.isfinite(out).all():
         raise ValueError("squared distances overflow float64; rescale the features")
     return out
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
-    """Uniform draw from the symmetric group by Fisher-Yates."""
-    a = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """Uniform draw from the symmetric group by Fisher-Yates.
+
+    All n - 1 swap indices come from one generator call; numpy draws each
+    bounded integer of an array-bounded call exactly as it would draw it
+    alone, so the stream is that of one ``rng.integers(0, i + 1)`` per swap.
+    """
+    a = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         a[i], a[j] = a[j], a[i]
     return Permutation(a)
 

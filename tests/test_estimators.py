@@ -67,11 +67,14 @@ def test_cost_lss_identical_sets_zero_diagonal():
 
 
 def test_cost_lss_matches_naive_double_loop():
-    # d = 5000 streams 13 first-set rows in blocks of 6, 6 and 1
+    # d = 5000 streams 13 first-set rows in blocks of 6, 6 and 1; 47 second-set
+    # rows against 50 first-set rows at d = 50 take second-set blocks of 13,
+    # 13, 13 and 8 rows
     rng = np.random.default_rng(4)
     cases = [
         _instance(7, 5, 1.0, seed=3)[0],
         _manual_instance(rng.normal(size=(13, 5000)), rng.normal(size=(9, 5000))),
+        _manual_instance(rng.normal(size=(50, 50)), rng.normal(size=(47, 50))),
     ]
     for inst in cases:
         entries = cost_lss(inst).entries

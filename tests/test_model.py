@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from permatch import (
     greedy_adversarial_instance,
     least_favorable_features,
     load_instance_csv,
+    pairwise_sqdist,
     random_permutation,
     read_features_csv,
     scaled_identity_features,
@@ -56,6 +58,21 @@ def test_fisher_yates_uniformity_smoke():
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     assert min(counts.values()) > 6000 / 6 * 0.8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_random_permutation_consumes_the_stream_of_one_draw_per_swap(n, seed):
+    # reference: Fisher-Yates with one rng.integers(0, i + 1) call per swap
+    ref_rng = np.random.default_rng(seed)
+    expected = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(ref_rng.integers(0, i + 1))
+        expected[i], expected[j] = expected[j], expected[i]
+    rng = np.random.default_rng(seed)
+    assert random_permutation(rng, n).map.tolist() == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.random() == ref_rng.random()  # the half-used 32-bit buffer too
 
 
 # ----------------------------------------------------------------- noise specs
@@ -295,6 +312,50 @@ def test_match_instance_sqdist_is_read_only_and_cached():
     assert not sq.flags.writeable
     with pytest.raises(ValueError):
         sq[0, 0] = 1.0
+
+
+def _sqdist_per_row(second, first):
+    """pairwise_sqdist as one (block, d) step per second-set row, the kernel's
+    earlier form: each entry one contiguous sum over d."""
+    out = np.empty((second.shape[0], first.shape[0]))
+    step = max(1, 2**15 // first.shape[1])
+    with np.errstate(over="ignore"):
+        for i, row in enumerate(second):
+            for j in range(0, first.shape[0], step):
+                out[i, j : j + step] = np.square(first[j : j + step] - row).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, m, d",
+    [
+        (50, 50, 50),  # second-set blocks of 13, 13, 13 and 11 rows
+        (50, 47, 50),  # the same with a 47-row first-set block
+        (200, 200, 200),
+        (100, 100, 2000),  # first-set blocks of 16 rows, one second-set row each
+        (800, 1000, 128),
+    ],
+)
+def test_pairwise_sqdist_is_hex_equal_to_a_per_row_loop(n, m, d):
+    rng = np.random.default_rng(n * m + d)
+    second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    assert pairwise_sqdist(second, first).tobytes() == _sqdist_per_row(second, first).tobytes()
+
+
+def test_pairwise_sqdist_is_hex_equal_on_ties_and_names_an_overflow():
+    # integer-valued features: many equal distances, all exact
+    rng = np.random.default_rng(11)
+    first = rng.integers(-2, 3, size=(61, 30)).astype(float)
+    second = first[rng.permutation(61)[:45]]
+    got = pairwise_sqdist(second, first)
+    assert got.tobytes() == _sqdist_per_row(second, first).tobytes()
+    assert np.unique(got).size < got.size // 10
+    # (1e200 - -1e200)^2 overflows float64: a ValueError, and no RuntimeWarning escapes
+    huge = np.full((14, 3), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            pairwise_sqdist(huge, -huge)
 
 
 def test_feature_set_validation():
