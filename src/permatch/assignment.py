@@ -35,8 +35,8 @@ used: it can leave v_j > 0, which is dual-infeasible when n < m.
 
 Lockstep: a search step costs a few microseconds of numpy call overhead on
 rows of a few hundred entries, so ``solve_in_lockstep`` runs the searches
-of many same-shape matrices together, one step of every matrix per round
-on (lanes, m) arrays; a matrix whose search ends starts its next leftover
+of a batch of same-shape matrices together, one step of every matrix per
+round on (lanes, m) arrays; a matrix whose search ends starts its next leftover
 row at once, so no round waits for the longest search.  Each matrix gets
 exactly the arithmetic of its sequential solve, so assignments and
 potentials are bit for bit ``solve_hungarian``'s.  A round makes about
@@ -45,10 +45,12 @@ stack.  Its time over the sequential time on sweep costs (LSS and LSL of
 the same instances, 2-CPU VM) was 1.26 at 8 matrices of 50 x 50 (mixed
 tau), 0.95 at 10, 0.74 at 16 and 0.53 at 40; 1.27 at 10 matrices of
 100 x 100 (d = 2000), 1.02 at 16 and 0.56 at 40; 0.63 at 16 matrices of
-200 x 200 at tau = 1.4 and 0.99 at tau = 2.4.  So groups of fewer than
-``_LOCKSTEP_MIN`` = 16 are left to ``solve_hungarian``.  The lockstep's
-lane arrays shrink as matrices finish, so it allocates by the data; the
-sequential solve does not.
+200 x 200 at tau = 1.4 and 0.99 at tau = 2.4.  So batches of fewer than
+``_LOCKSTEP_MIN`` = 16 are left to ``solve_hungarian``.  The caller forms
+the batches (``permatch.estimators.solve_together``); the lockstep holds
+each matrix three times, as the matrix, its slice of the stack and its
+search history.  Its lane arrays shrink as matrices finish, so it
+allocates by the data; the sequential solve does not.
 
 Kept solutions: a ``CostMatrix`` keeps the solution found for it, and
 ``solve_hungarian`` returns a kept solution instead of solving again; the
@@ -87,8 +89,8 @@ __all__ = [
 
 _BRUTEFORCE_MAX_N = 9
 _BRUTEFORCE_MAX_COUNT = 2_000_000
-# Fewest same-shape matrices solve_in_lockstep runs as one stack, from the
-# depth scan in the module docstring.
+# Fewest matrices solve_in_lockstep runs as one stack, from the depth scan
+# in the module docstring.
 _LOCKSTEP_MIN = 16
 
 
@@ -280,35 +282,23 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
 
 
 def solve_in_lockstep(costs) -> None:
-    """Solve same-shape cost matrices together and keep each solution with its matrix.
+    """Solve a batch of distinct same-shape cost matrices together and keep each solution.
 
-    Groups the unsolved matrices by shape.  Each group of at least
-    ``_LOCKSTEP_MIN`` matrices runs as one pipeline (``_solve_stack``);
-    a smaller group is left unsolved, and ``solve_hungarian`` solves each of
-    its matrices on demand.  Every solution is bit for bit the one
-    ``solve_hungarian`` would find.
-    """
-    groups: dict[tuple[int, int], dict[int, CostMatrix]] = {}
-    for cost in costs:
-        if cost._solution is None:
-            groups.setdefault(cost.entries.shape, {})[id(cost)] = cost
-    for group in groups.values():
-        if len(group) >= _LOCKSTEP_MIN:
-            _solve_stack(list(group.values()))
-
-
-def _solve_stack(costs: list[CostMatrix]) -> None:
-    """``solve_hungarian``'s searches for a stack of same-shape matrices, in lockstep.
-
-    Each active matrix has one lane.  A round takes one search step in every
-    lane: it gathers each lane's cost row and u by flat index, keeps the
-    lanes' tentative lengths and masked v as (L, m) arrays, and writes each
-    reduced row into its matrix's history by flat index.  A lane whose
-    search reaches a free column is settled and flipped by ``_augment``, as
-    in ``solve_hungarian``, and starts its matrix's next leftover row in the
+    A batch of fewer than ``_LOCKSTEP_MIN`` matrices is left unsolved, and
+    ``solve_hungarian`` solves each of its matrices on demand.  A deeper
+    batch runs ``solve_hungarian``'s searches in lockstep, with one lane per
+    active matrix.  A round takes one search step in every lane: it gathers
+    each lane's cost row and u by flat index, keeps the lanes' tentative
+    lengths and masked v as (L, m) arrays, and writes each reduced row into
+    its matrix's history by flat index.  A lane whose search reaches a free
+    column is settled and flipped by ``_augment``, as in
+    ``solve_hungarian``, and starts its matrix's next leftover row in the
     same round; a lane with no row left retires.  Each lane does exactly the
-    arithmetic of its matrix's sequential solve.
+    arithmetic of its matrix's sequential solve, so every solution is bit
+    for bit the one ``solve_hungarian`` would find.
     """
+    if len(costs) < _LOCKSTEP_MIN:
+        return
     stack = np.stack([cost.entries for cost in costs])
     count, n, m = stack.shape
     flat_costs = stack.reshape(count * n, m)

@@ -15,7 +15,9 @@ compares transformed features, calls the same kernel, ``pairwise_sqdist``.
 The LSS, LSNS and LSL costs are kept with the instance as well, and each
 keeps its solution, so ``solve_together`` can build and solve the costs of
 many instances at once while ``estimate`` still returns every result
-through ``solve_hungarian``.
+through ``solve_hungarian``.  ``solve_together`` holds a stream of
+instances in batches of at most 32 MiB, counted from what each instance
+holds, and hands each batch's distinct costs to ``solve_in_lockstep``.
 
 The estimators:
 
@@ -297,6 +299,11 @@ def _one_level_per_side(instance: MatchInstance) -> bool:
     )
 
 
+# Memory for the instances solve_together holds at once: their features,
+# distance matrices and distinct costs, each cost counted three times
+# because solve_in_lockstep stacks a copy and gives it a search history.
+_BATCH_BYTES = 32 * 2**20
+
 # Key in a MatchInstance's __dict__ under which _kept_cost keeps the
 # instance's assignment costs by estimator tag, as cached_property keeps
 # ``sqdist``; each cost in turn keeps its solution.
@@ -321,24 +328,39 @@ def _kept_cost(instance: MatchInstance, tag: str) -> CostMatrix:
     return costs[tag]
 
 
-def solve_together(instances, kinds) -> list[MatchInstance]:
-    """Build the instances' assignment costs for ``kinds`` and solve them together.
+def solve_together(instances, kinds):
+    """Build the instances' assignment costs for ``kinds`` and solve them ahead, batch by batch.
 
-    Takes any iterable of instances and builds each one's distinct LSS,
-    LSNS or LSL costs as it arrives, so that a freshly drawn instance's
-    distance matrix is computed while its features are still in cache.
-    Each cost is kept with its instance and handed to ``solve_in_lockstep``,
-    which keeps each solution it finds with its cost; ``estimate`` then
-    returns them through ``solve_hungarian``, with the same results as
-    without this call.  Returns the instances, in order.
+    A generator over any iterable of instances of one shape; it yields them
+    in order.  Each arriving instance's distinct LSS, LSNS or LSL costs are
+    built at once, so that a freshly drawn instance's distance matrix is
+    computed while its features are still in cache.  Instances are held
+    until the next one, if it is like the last, would take the held bytes
+    past ``_BATCH_BYTES``: the held distinct costs then go to
+    ``solve_in_lockstep``, which keeps each solution it finds with its cost,
+    and the held instances are yielded before the next is drawn.
+    ``estimate`` returns the kept solutions through ``solve_hungarian``,
+    with the same results as without this call.
     """
     tags = [kind.tag for kind in kinds if kind.tag in ("lss", "lsns", "lsl")]
-    consumed, costs = [], []
+    held, costs, held_bytes = [], [], 0
     for instance in instances:
-        consumed.append(instance)
-        costs += [_kept_cost(instance, tag) for tag in tags]
+        kept = list(dict.fromkeys(_kept_cost(instance, tag) for tag in tags))  # LSNS may be LSS's cost
+        size = (
+            instance.first.vectors.nbytes
+            + instance.second.vectors.nbytes
+            + instance.sqdist.nbytes
+            + 3 * sum(cost.entries.nbytes for cost in kept)
+        )
+        held.append(instance)
+        costs += kept
+        held_bytes += size
+        if held_bytes + size > _BATCH_BYTES:
+            solve_in_lockstep(costs)
+            yield from held
+            held, costs, held_bytes = [], [], 0
     solve_in_lockstep(costs)
-    return consumed
+    yield from held
 
 
 def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:

@@ -8,13 +8,10 @@ draw, truth draw, noise draw), so trials may be executed in any order, or
 concurrently, without changing any record, and distinct seeds share no
 trial.
 
-``run_experiment`` draws the trials in order, in chunks of as many
-instances as fit ``_CHUNK_BYTES`` (32 MiB, for the instances with their
-kept costs and the solver's work arrays).  ``solve_together`` builds each
-chunk's assignment costs and solves them ahead, in lockstep where enough
-share a shape (see ``permatch.assignment``); then each (instance,
-estimator) is estimated in record order.  The records equal those of one
-instance at a time.
+``run_experiment`` draws the trials in order through ``solve_together``,
+which builds their assignment costs and solves them ahead in batches (see
+``permatch.estimators``); each (instance, estimator) is then estimated in
+record order.  The records equal those of one instance at a time.
 
 Scenarios
 ---------
@@ -83,10 +80,6 @@ SCENARIOS = tuple(SWEEP_LABELS)
 # How a trial's random streams derive from (config seed, sweep index, trial
 # index); a run manifest records this name.
 STREAM_SCHEME = "SeedSequence([seed, sweep_index, trial]).generate_state(3): templates, truth, noise"
-
-# Memory for the instances run_experiment holds at once, with their costs
-# and solver work arrays (see _chunk_trials).
-_CHUNK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -235,46 +228,29 @@ def trial_separation(config: ExperimentConfig, sweep_index: int, trial: int) -> 
     return separation(theta, noise)
 
 
-def _chunk_trials(config: ExperimentConfig) -> int:
-    """How many trials' instances fit ``_CHUNK_BYTES`` at once.
-
-    An instance holds its two feature sets and its distance matrix; each of
-    its (at most three) assignment costs is kept with it, and stacked and
-    given a search history of its size by ``solve_in_lockstep``.
-    """
-    n = 2 if config.scenario == "greedy-adversarial" else config.n  # both sets have n features
-    return max(1, _CHUNK_BYTES // (8 * (2 * n * config.d + 10 * n * n)))
-
-
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run every (sweep value, trial, estimator) cell and collect records.
 
-    Trials are drawn in order, in chunks of as many instances as fit
-    ``_CHUNK_BYTES``; ``solve_together`` solves a chunk's assignments ahead,
-    then each (instance, estimator) is estimated in record order.
+    Trials are drawn in order through ``solve_together``, which solves
+    their assignments ahead; each (instance, estimator) is then estimated
+    in record order.
     """
     cells = [(index, float(value), trial) for index, value in enumerate(config.sweep) for trial in range(config.trials)]
-    per_chunk = _chunk_trials(config)
+    draws = (_build_trial(config, value, _trial_streams(config.seed, index, trial)) for index, value, trial in cells)
     records: list[TrialRecord] = []
-    for first in range(0, len(cells), per_chunk):
-        chunk = cells[first : first + per_chunk]
-        instances = solve_together(
-            (_build_trial(config, value, _trial_streams(config.seed, index, trial)) for index, value, trial in chunk),
-            config.estimators,
-        )
-        for (index, value, trial), instance in zip(chunk, instances):
-            for kind in config.estimators:
-                estimated = estimate(instance, kind)
-                records.append(
-                    TrialRecord(
-                        sweep_value=value,
-                        estimator=kind.tag,
-                        seed=config.seed,
-                        global_index=index * config.trials + trial,
-                        loss_01=loss_01(estimated, instance.truth),
-                        loss_hamming=loss_hamming(estimated, instance.truth),
-                    )
+    for (index, value, trial), instance in zip(cells, solve_together(draws, config.estimators)):
+        for kind in config.estimators:
+            estimated = estimate(instance, kind)
+            records.append(
+                TrialRecord(
+                    sweep_value=value,
+                    estimator=kind.tag,
+                    seed=config.seed,
+                    global_index=index * config.trials + trial,
+                    loss_01=loss_01(estimated, instance.truth),
+                    loss_hamming=loss_hamming(estimated, instance.truth),
                 )
+            )
     return records
 
 

@@ -366,13 +366,16 @@ def test_lockstep_solutions_equal_solve_hungarian_bit_for_bit(name):
                    for entries, cost in zip(stack, costs))
 
 
-def test_lockstep_groups_by_shape_and_leaves_shallow_groups_to_solve_hungarian():
+def test_lockstep_leaves_a_shallow_batch_to_solve_hungarian():
     rng = np.random.default_rng(22)
     deep = [CostMatrix(rng.standard_normal((6, 9))) for _ in range(_LOCKSTEP_MIN)]
     shallow = [CostMatrix(rng.standard_normal((7, 7))) for _ in range(_LOCKSTEP_MIN - 1)]
-    mixed = [cost for pair in zip(deep, shallow) for cost in pair] + deep[len(shallow):]
-    solve_in_lockstep(mixed + deep[:3])  # a repeated matrix is solved once
-    assert all(cost._solution is not None for cost in deep)
+    solve_in_lockstep(deep)
+    solve_in_lockstep(shallow)
+    for cost in deep:
+        kept = cost._solution
+        assert kept is not None and certify(cost, kept)
+        assert _bits(kept) == _bits(solve_hungarian(CostMatrix(cost.entries)))
     assert all(cost._solution is None for cost in shallow)
     for cost in shallow:
         solution = solve_hungarian(cost)  # solved on demand, then kept

@@ -29,7 +29,7 @@ def test_every_traced_name_exists():
 def test_every_sweep_result_passes_through_solve_hungarian(monkeypatch):
     # A sweep deep enough to solve in lockstep still hands each result to
     # estimators.solve_hungarian: a solver swapped there changes its records.
-    from permatch import assignment, estimators
+    from permatch import estimators
 
     config = ExperimentConfig(
         scenario="uniform-homoscedastic", n=8, d=6, sigma=0.05, sweep=(2.0, 4.0), trials=10, seed=11,
@@ -39,8 +39,14 @@ def test_every_sweep_result_passes_through_solve_hungarian(monkeypatch):
     assert all(record.loss_01 == 0 for record in honest_records)
 
     stacks = []
-    solve_stack = assignment._solve_stack
-    monkeypatch.setattr(assignment, "_solve_stack", lambda costs: stacks.append(len(costs)) or solve_stack(costs))
+    solve_in_lockstep = estimators.solve_in_lockstep
+
+    def counted(costs):
+        solve_in_lockstep(costs)
+        if all(cost._solution is not None for cost in costs):  # the lockstep solved the batch
+            stacks.append(len(costs))
+
+    monkeypatch.setattr(estimators, "solve_in_lockstep", counted)
     honest = estimators.solve_hungarian
 
     def suboptimal(cost):

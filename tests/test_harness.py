@@ -201,16 +201,18 @@ def _one_instance_at_a_time(config):
 
 
 def _lockstep_stack_sizes(monkeypatch):
-    from permatch import assignment
+    """Record the size of each batch solve_together hands over that the lockstep solves."""
+    from permatch import estimators
 
     sizes = []
-    solve_stack = assignment._solve_stack
+    solve = estimators.solve_in_lockstep
 
     def counted(costs):
-        sizes.append(len(costs))
-        return solve_stack(costs)
+        solve(costs)
+        if costs and all(cost._solution is not None for cost in costs):
+            sizes.append(len(costs))
 
-    monkeypatch.setattr(assignment, "_solve_stack", counted)
+    monkeypatch.setattr(estimators, "solve_in_lockstep", counted)
     return sizes
 
 
@@ -232,21 +234,43 @@ def test_records_equal_one_instance_at_a_time(scenario, overrides, monkeypatch):
     assert records == _one_instance_at_a_time(config)
 
 
-def test_records_equal_one_instance_at_a_time_across_chunks(monkeypatch):
-    from permatch import harness
+# What one instance of _config(estimators=_ALL_KINDS) holds in solve_together:
+# two 8 x 6 feature sets, 8 x 8 distances and two distinct 8 x 8 costs (LSNS
+# shares LSS's), each cost counted three times for the lockstep.
+_INSTANCE_BYTES = 8 * (2 * 8 * 6 + 8 * 8 + 3 * 2 * 8 * 8)
+
+
+def test_records_equal_one_instance_at_a_time_across_batches(monkeypatch):
+    from permatch import estimators
 
     sizes = _lockstep_stack_sizes(monkeypatch)
     config = _config(estimators=_ALL_KINDS, trials=10)
     expected = _one_instance_at_a_time(config)
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", harness._CHUNK_BYTES // harness._chunk_trials(config) * 9)
-    assert harness._chunk_trials(config) == 9
+    monkeypatch.setattr(estimators, "_BATCH_BYTES", 9 * _INSTANCE_BYTES)
     assert run_experiment(config) == expected
-    # chunks of 9, 9 and 2 instances with an LSS and an LSL cost each
-    # (LSNS shares LSS's); the last chunk's 4 are solved one at a time
+    # batches of 9, 9 and 2 instances with an LSS and an LSL cost each;
+    # the last batch's 4 are solved one at a time
     assert sizes == [18, 18]
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)
     assert run_experiment(config) == expected
     assert sizes == [18, 18]
+
+
+def test_solve_together_draws_no_instance_past_the_batch_it_yields(monkeypatch):
+    from permatch import estimators, harness
+
+    monkeypatch.setattr(estimators, "_BATCH_BYTES", 9 * _INSTANCE_BYTES)
+    config = _config(estimators=_ALL_KINDS, trials=10)
+    drawn = []
+
+    def draws():
+        for index, value in enumerate(config.sweep):
+            for trial in range(config.trials):
+                drawn.append((index, trial))
+                yield harness._build_trial(config, value, harness._trial_streams(config.seed, index, trial))
+
+    # how many instances had been drawn when each one was yielded
+    assert [len(drawn) for _ in estimators.solve_together(draws(), config.estimators)] == [9] * 9 + [18] * 9 + [20] * 2
 
 
 def test_distinct_seeds_share_no_trial():
