@@ -36,8 +36,8 @@ used: it can leave v_j > 0, which is dual-infeasible when n < m.
 Lockstep: a search step costs a few microseconds of numpy call overhead on
 rows of a few hundred entries, so ``solve_in_lockstep`` runs the searches
 of a batch of same-shape matrices together, one step of every matrix per
-round on (lanes, m) arrays; a matrix whose search ends starts its next leftover
-row at once, so no round waits for the longest search.  Each matrix gets
+round on (lanes, m) arrays; a matrix whose search ends starts its next
+leftover row at once, so no round waits for the longest search.  Each matrix gets
 exactly the arithmetic of its sequential solve, so assignments and
 potentials are bit for bit ``solve_hungarian``'s.  A round makes about
 four times the numpy calls of a step, so the lockstep pays only on a deep
