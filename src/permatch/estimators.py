@@ -331,20 +331,26 @@ def _kept_cost(instance: MatchInstance, tag: str) -> CostMatrix:
 def solve_together(instances, kinds):
     """Build the instances' assignment costs for ``kinds`` and solve them ahead, batch by batch.
 
-    A generator over any iterable of instances of one shape; it yields them
-    in order.  Each arriving instance's distinct LSS, LSNS or LSL costs are
-    built at once, so that a freshly drawn instance's distance matrix is
-    computed while its features are still in cache.  Instances are held
-    until the next one, if it is like the last, would take the held bytes
-    past ``_BATCH_BYTES``: the held distinct costs then go to
+    A generator over any iterable of instances; it yields them in order.
+    Each arriving instance's distinct LSS, LSNS or LSL costs are built at
+    once, so that a freshly drawn instance's distance matrix is computed
+    while its features are still in cache.  Instances are held until the
+    next one, if it is like the last, would take the held bytes past
+    ``_BATCH_BYTES``: the held distinct costs then go to
     ``solve_in_lockstep``, which keeps each solution it finds with its cost,
-    and the held instances are yielded before the next is drawn.
-    ``estimate`` returns the kept solutions through ``solve_hungarian``,
-    with the same results as without this call.
+    and the held instances are yielded before the next is drawn.  An
+    instance of another shape than the held ones has them solved and
+    yielded first, since a lockstep batch holds one shape.  ``estimate``
+    returns the kept solutions through ``solve_hungarian``, with the same
+    results as without this call.
     """
     tags = [kind.tag for kind in kinds if kind.tag in ("lss", "lsns", "lsl")]
     held, costs, held_bytes = [], [], 0
     for instance in instances:
+        if held and (instance.second.n, instance.first.n) != (held[-1].second.n, held[-1].first.n):
+            solve_in_lockstep(costs)
+            yield from held
+            held, costs, held_bytes = [], [], 0
         kept = list(dict.fromkeys(_kept_cost(instance, tag) for tag in tags))  # LSNS may be LSS's cost
         size = (
             instance.first.vectors.nbytes

@@ -118,6 +118,30 @@ def test_match_overflowing_distances_is_named(estimator, tmp_path, capsys):
     assert capsys.readouterr().err == "error: squared distances overflow float64; rescale the features\n"
 
 
+_MATCH_NEEDS_LEVELS = {
+    "lsns": "this estimator needs known noise levels on both sides",
+    "variance-greedy": "variance-greedy needs known first-set noise levels",
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+@pytest.mark.parametrize("name", ["match-60x60-sigma", "match-70into90"])
+def test_match_output_is_byte_identical_to_pinned_csv(name, estimator, tmp_path, capsys):
+    # Seeded instances written by write_features_csv: 60 x 60 at d = 16 with
+    # per-feature levels in a sigma column, and 70 into 90 at d = 32 without
+    # one, where the estimators that need levels fail with a named error.
+    data = pathlib.Path(__file__).resolve().parent / "data"
+    out = tmp_path / "match.csv"
+    code = main(["match", str(data / f"{name}-first.csv"), str(data / f"{name}-second.csv"),
+                 "--estimator", estimator, "--out", str(out)])
+    if name == "match-70into90" and estimator in _MATCH_NEEDS_LEVELS:
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {_MATCH_NEEDS_LEVELS[estimator]}\n"
+        return
+    assert code == 0
+    assert out.read_bytes() == (data / f"{name}-{estimator}.csv").read_bytes()
+
+
 def test_bad_estimator_flag_is_validation_error(instance_files):
     first, second, _ = instance_files
     assert main(["match", str(first), str(second), "--estimator", "nearest"]) == 1

@@ -273,6 +273,27 @@ def test_solve_together_draws_no_instance_past_the_batch_it_yields(monkeypatch):
     assert [len(drawn) for _ in estimators.solve_together(draws(), config.estimators)] == [9] * 9 + [18] * 9 + [20] * 2
 
 
+def test_solve_together_solves_the_held_batch_when_the_shape_changes(monkeypatch):
+    # Ten 8-feature draws, then ten 9-feature draws: each shape's 20 LSS and
+    # LSL costs go to the lockstep as a batch of their own.
+    from permatch import estimators, harness
+
+    sizes = _lockstep_stack_sizes(monkeypatch)
+    kinds = (EstimatorKind("lss"), EstimatorKind("lsl"))
+
+    def draws():
+        for n in (8, 9):
+            config = _config(n=n)
+            for trial in range(10):
+                yield harness._build_trial(config, 2.0, harness._trial_streams(config.seed, 0, trial))
+
+    def records(instances):
+        return [(estimate(instance, kind), instance.truth) for instance in instances for kind in kinds]
+
+    assert records(estimators.solve_together(draws(), kinds)) == records(draws())
+    assert sizes == [20, 20]
+
+
 def test_distinct_seeds_share_no_trial():
     # A trial's realized template separation identifies its template draw.
     # Seeding each trial by seed XOR trial index would replay seed 0's

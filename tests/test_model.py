@@ -23,6 +23,7 @@ from permatch import (
     uniform_box_features,
     write_features_csv,
 )
+from permatch import model
 
 
 # ---------------------------------------------------------------- permutations
@@ -333,9 +334,18 @@ def _sqdist_per_row(second, first):
         (200, 200, 200),
         (100, 100, 2000),  # first-set blocks of 16 rows, one second-set row each
         (800, 1000, 128),
+        (40, 33, 1),  # one block
+        (300, 5000, 7),  # first-set blocks of 4681 rows and 319
+        (50, 300, 8),  # second-set blocks of 13 rows, the last of 11
+        (70, 3700, 9),  # first-set blocks of 3640 rows and 60
+        (30, 600, 129),  # first-set blocks of 254, 254 and 92 rows
+        (1, 250, 300),  # one second-set row; first-set blocks of 109, 109 and 32 rows
+        (1, 10, 8),
     ],
 )
 def test_pairwise_sqdist_is_hex_equal_to_a_per_row_loop(n, m, d):
+    # A second-set block holds more than one row only when the whole first
+    # set fits in one block, so blocks are ragged on one side at a time.
     rng = np.random.default_rng(n * m + d)
     second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
     assert pairwise_sqdist(second, first).tobytes() == _sqdist_per_row(second, first).tobytes()
@@ -387,6 +397,73 @@ def test_features_csv_without_sigma(tmp_path):
     np.testing.assert_array_equal(back.vectors, theta.vectors)
     assert back_noise is None
     assert path.read_text().splitlines()[0] == "id,x1,x2"
+
+
+_H, _HS = "id,x1,x2\n", "id,x1,x2,sigma\n"
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        (_H + "1,0.5,1.5\n\n2,2.5,3.5\n", True),
+        (_H + "1,0.5,1.5\n  \n2,2.5,3.5\n", False),
+        (_H + "1,0.5,#1.5\n2,2.5,3.5\n", False),
+        (_H + '1,"0.5",1.5\n2,2.5,3.5\n', False),
+        ('id,x1\n"a,0.5\nb",1.5\n', False),  # loadtxt would read two rows here
+        (_H + "1,1_0,1.5\n", False),
+        (_H + "1, 2 ,1.5\n", True),
+        (_H + "1,,1.5\n", False),
+        (_H + "1,abc,1.5\n", False),
+        (_H + "1,0x10,1.5\n", False),
+        (_H + "1,nan,1.5\n", True),
+        (_H + "1,1e400,1.5\n", True),
+        (_H + "1,Infinity,1.5\n", True),
+        ("id,x1,x2\r\n1,0.5,1.5\r\n2,2.5,3.5\r\n", True),
+        ("id,x1,x2\r1,0.5,1.5\r2,2.5,3.5\r", False),
+        (_H + "1,0.5,1.5,\n", False),
+        (_H + "1,0.5\n2,2.5\n", False),
+        (_H + "kp_0001,0.5,1.5\nkp_0002,2.5,3.5\n", True),
+        (_H + "1,\u0967,1.5\n", False),  # Devanagari one
+        (_H + "1,\uff10,1.5\n", False),  # fullwidth zero
+        (_H + "1,0.5,1.5\n2,2.5,3.5", True),
+        (_H, False),
+        (_HS + "1,0.5,1.5,0.25\n2,2.5,3.5,0.5\n", True),
+        (_HS + "1,0.5,1.5,nan\n", True),
+        ("id,sigma\n1,0.5\n", True),
+    ],
+    ids=[
+        "blank-line", "whitespace-line", "hash", "quoted", "quoted-newline", "underscore",
+        "spaces", "empty-field", "abc", "hex", "nan", "1e400", "Infinity", "crlf", "cr-only",
+        "trailing-comma", "short-rows", "text-id", "devanagari-digit", "fullwidth-digit",
+        "no-final-newline", "header-only", "sigma", "sigma-nan", "d-zero",
+    ],
+)
+def test_features_csv_loadtxt_agrees_with_the_row_loop(text, fast, tmp_path, monkeypatch):
+    # The same features' bytes and levels, or the same error message, with
+    # and without the one-call parse; ``fast`` says whether it is used.
+    path = tmp_path / "features.csv"
+    path.write_text(text, newline="")
+    load_body, tables = model._load_body, []
+
+    def spy(body, ncols):
+        tables.append(load_body(body, ncols))
+        return tables[-1]
+
+    def outcome():
+        try:
+            features, noise = read_features_csv(path)
+        except ValueError as exc:
+            return str(exc)
+        return features.vectors.shape, features.vectors.tobytes(), noise and noise.levels.tobytes()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        monkeypatch.setattr(model, "_load_body", spy)
+        got = outcome()
+        monkeypatch.setattr(model, "_load_body", lambda body, ncols: None)
+        assert got == outcome()
+    assert caught == []
+    assert (tables[0] is not None) == fast
 
 
 def test_features_csv_header_required(tmp_path):
