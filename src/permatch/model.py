@@ -23,11 +23,12 @@ Distances
 ``pairwise_sqdist`` is the one feature-to-feature distance kernel: every
 estimator cost and the template separation are transforms of its output.
 It blocks both sets, up to ``_SQDIST_BLOCK`` differences per block, into
-two buffers allocated per call: a small instance takes a few numpy calls,
-not a few per row, and a large one allocates nothing per step, so its
-speed does not depend on the state of the process's heap.  The second
-buffer holds each second-set block repeated across a first-set block, so
-every subtraction runs over contiguous operands in one long inner loop.
+two buffers from one allocation per call: a small instance takes a few
+numpy calls, not a few per row, and a large one allocates nothing per
+step, so its speed does not depend on the state of the process's heap.
+The second buffer holds each second-set block repeated across a first-set
+block, so every subtraction runs over contiguous operands in one long
+inner loop.
 ``MatchInstance.sqdist`` holds its result for an instance, computed on
 first use and then shared by every estimator run on that instance.
 """
@@ -238,28 +239,29 @@ def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Squared distances, entry (i, j) = ||first[j] - second[i]||^2.
 
     Computes blocks of (second-set rows) x (first-set rows) x d differences
-    in two buffers allocated per call, of at most ``_SQDIST_BLOCK`` elements
-    each (or d, if d is larger): no cancellation-prone ||a||^2 + ||b||^2 -
-    2 a.b expansion, no (n x m x d) intermediate, and no temporary per step,
-    so the kernel's speed does not hang on the allocator's state.  Blocking
-    both sets makes a small instance a few numpy calls instead of a few per
-    row (50 x 50 at d = 50 takes 4 steps, not 50).  The second buffer, the
-    tile, is filled once per second-set block with that block's rows, each
-    repeated across a first-set block.  Subtracting a broadcast row would
-    run one d-long inner loop per first-set row; subtracting from the tile
-    runs over contiguous operands in one loop of the whole block, ~1.4x
-    faster per element at d = 128.  Subtraction is exact elementwise, so the
-    loop shape does not change a bit.  Each entry is one contiguous sum
-    over d, reduced in the same order whatever the block shape.  For finite
-    features a non-finite entry can only be an overflow, which raises
-    ValueError.
+    in two buffers of at most ``_SQDIST_BLOCK`` elements each (or d, if d is
+    larger), taken from one allocation per call: no cancellation-prone
+    ||a||^2 + ||b||^2 - 2 a.b expansion, no (n x m x d) intermediate, and no
+    temporary per step, so the kernel's speed does not hang on the
+    allocator's state.  Two separate allocations did: glibc then trimmed
+    the heap top on every call, and the page faults made 50 x 50 at d = 50
+    ~1.5x slower.  Blocking both sets makes a small instance a few numpy
+    calls instead of a few per row (50 x 50 at d = 50 takes 4 steps, not
+    50).  The second buffer, the tile, is filled once per second-set block
+    with that block's rows, each repeated across a first-set block.
+    Subtracting a broadcast row would run one d-long inner loop per
+    first-set row; subtracting from the tile runs over contiguous operands
+    in one loop of the whole block, ~1.4x faster per element at d = 128.
+    Subtraction is exact elementwise, so the loop shape does not change a
+    bit.  Each entry is one contiguous sum over d, reduced in the same order
+    whatever the block shape.  For finite features a non-finite entry can
+    only be an overflow, which raises ValueError.
     """
     (n, d), m = second.shape, first.shape[0]
     out = np.empty((n, m))
     fstep = max(1, min(m, _SQDIST_BLOCK // d))
     sstep = max(1, min(n, _SQDIST_BLOCK // (fstep * d)))
-    buf = np.empty((sstep, fstep, d))
-    tile = np.empty_like(buf)
+    buf, tile = np.empty((2, sstep, fstep, d))
     with np.errstate(over="ignore"):
         for i in range(0, n, sstep):
             rows = tile[: n - i]
