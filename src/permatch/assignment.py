@@ -171,15 +171,7 @@ def _leftover(col_of: np.ndarray) -> list[int]:
     return [i for i, c in enumerate(col_of.tolist()) if c < 0]
 
 
-class _PathBuffers:
-    """n-long scratch arrays for ending one search at a time."""
-
-    def __init__(self, n: int):
-        self.tree = np.empty(n, dtype=np.int64)
-        self.settle = np.empty(n)
-
-
-def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, buffers: _PathBuffers) -> None:
+def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, tree) -> None:
     """End the search from row ``start``: settle its duals, flip its path.
 
     The search scanned column scanned[k] at path length lows[k], k <= step,
@@ -187,19 +179,20 @@ def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, buffer
     row expanded at step k.  The row expanded at step k + 1 is the one
     matched to scanned[k]; the scanned columns are distinct and so are
     those rows, so each dual moves once and array updates over the path
-    give the same bits as one scalar update per column.  The updates use
-    ``ufunc.at`` on the n-long buffers: a fancy-index update such as
-    ``v[scanned] -= settle`` would allocate temporaries sized by the path.
+    give the same bits as one scalar update per column.  ``tree`` is an
+    n-long scratch array for those rows, and the settle amounts overwrite
+    lows[:k], which no later search reads.  The updates use ``ufunc.at``:
+    a fancy-index update such as ``v[scanned] -= settle`` would allocate
+    temporaries sized by the path.
     """
-    tree, settle = buffers.tree, buffers.settle
     tree[0] = start
     u[start] += low
     if step:  # a one-step search scanned its free column at length low: nothing else moves
         k = step + 1
         np.take(row_of, scanned[:step], out=tree[1:k], mode="clip")
         # lows <= low, so v only falls; never-scanned (unmatched) columns keep v = 0
-        np.subtract(low, lows[:k], out=settle[:k])
-        np.subtract.at(v, scanned[:k], settle[:k])
+        settle = np.subtract(low, lows[:k], out=lows[:k])
+        np.subtract.at(v, scanned[:k], settle)
         np.add.at(u, tree[1:k], settle[:step])
     while step >= 0:  # flip the path back, from the free column to start
         j = scanned[step]
@@ -258,7 +251,7 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
     hist = np.empty((n, m))
     scanned = np.empty(n, dtype=np.int64)
     lows = np.empty(n)
-    buffers = _PathBuffers(n)
+    tree = np.empty(n, dtype=np.int64)  # the rows on the path _augment flips
     for start in _leftover(col_of):
         tent.fill(np.inf)
         np.copyto(v_masked, v)
@@ -277,7 +270,7 @@ def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
             if i < 0:
                 break
             step += 1
-        _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, buffers)
+        _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, tree)
     return _keep(cost, u, v, col_of)
 
 
@@ -309,7 +302,7 @@ def solve_in_lockstep(costs) -> None:
     lows = np.empty((count, n))
     # each matrix's own arrays, as _augment takes them
     views = [(hist[b * n : (b + 1) * n], u[b], v[b], col_of[b], row_of[b], scanned[b], lows[b]) for b in range(count)]
-    buffers = _PathBuffers(n)
+    tree = np.empty(n, dtype=np.int64)  # the rows on the path _augment flips
     pending = [_leftover(col_of[b])[::-1] for b in range(count)]  # popped from the end
     matrix = [b for b in range(count) if pending[b]]  # lane -> matrix
     starts = [pending[b].pop() for b in matrix]  # lane -> row its search started from
@@ -344,7 +337,7 @@ def solve_in_lockstep(costs) -> None:
         retired = []
         for lane in np.flatnonzero(nxt < 0).tolist():
             b = matrix[lane]
-            _augment(*views[b], starts[lane], low[lane], int(at[lane]) - b * n - 1, buffers)
+            _augment(*views[b], starts[lane], low[lane], int(at[lane]) - b * n - 1, tree)
             if not pending[b]:
                 retired.append(lane)
                 continue

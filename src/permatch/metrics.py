@@ -112,9 +112,15 @@ def minimax_separation_rate(sigma: float, n: int, d: float) -> float:
     if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(d) and d > 0):
         raise ValueError("sigma and d must be positive and finite")
     log_n = math.log(n)
-    if d >= log_n:
-        return sigma * math.sqrt(math.sqrt(d * log_n))
-    return sigma * math.sqrt(log_n)
+    scale = math.sqrt(math.sqrt(d * log_n)) if d >= log_n else math.sqrt(log_n)
+    return _finite(sigma * scale, "separation rate")
+
+
+def _finite(value: float, name: str) -> float:
+    """``value``, or a ValueError naming it if it overflowed float64."""
+    if math.isinf(value):
+        raise ValueError(f"{name} overflows float64")
+    return value
 
 
 def _threshold(alpha: float, n: int, d: int, sigma: float, low: float, high: float) -> float:
@@ -127,7 +133,7 @@ def _threshold(alpha: float, n: int, d: int, sigma: float, low: float, high: flo
         raise ValueError("sigma must be positive and finite")
     branch_low = math.sqrt(low * math.log(8.0 * n * n / alpha))
     branch_high = (high * d * math.log(4.0 * n * n / alpha)) ** 0.25
-    return sigma * 4.0 * max(branch_low, branch_high)
+    return _finite(sigma * 4.0 * max(branch_low, branch_high), "separation threshold")
 
 
 def separation_threshold(alpha: float, n: int, d: int, sigma: float) -> float:
@@ -150,11 +156,16 @@ def separation_threshold_conservative(alpha: float, n: int, d: int, sigma: float
 def mismatch_probability_bound_raw(kappa: float, sigma: float, n: int, d: int) -> float:
     """Uncapped worst-case mismatch bound at separation kappa:
     max(8 n^2 exp(-kappa^2 / (2^6 sigma^2)), 4 n^2 exp(-kappa^4 / (2^10 d sigma^4))).
+
+    Both terms depend only on q = (kappa / sigma)^2.  It is a float product,
+    which overflows to inf (a zero term) where ``**`` would raise.
     """
     if not (kappa > 0 and sigma > 0) or n < 2 or d < 1:
         raise ValueError("kappa and sigma must be positive, n >= 2, d >= 1")
-    term_low = 8.0 * n * n * math.exp(-(kappa**2) / (64.0 * sigma**2))
-    term_high = 4.0 * n * n * math.exp(-(kappa**4) / (1024.0 * d * sigma**4))
+    ratio = kappa / sigma
+    q = ratio * ratio
+    term_low = 8.0 * n * n * math.exp(-q / 64.0)
+    term_high = 4.0 * n * n * math.exp(-q * q / (1024.0 * d))
     return max(term_low, term_high)
 
 

@@ -513,49 +513,49 @@ def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
     The header row is required.  A trailing ``sigma`` column, when present,
     carries per-feature noise levels.  Ids may be any text; they are not
     read.  The body is parsed in one ``np.loadtxt`` call when it can be,
-    and otherwise row by row, which also names the file and line of the
-    first bad row; both give the same values.
+    and otherwise row by row into the same table layout; both give the same
+    values.  Every error, a csv-module one included, is a ValueError that
+    names the file and, for a bad row or field, its physical line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "id":
-            raise ValueError(f"{path}: first header column must be 'id', got {header[:1]}")
-        has_sigma = header[-1] == "sigma"
-        ncols = len(header)
-        d = ncols - 2 if has_sigma else ncols - 1
-        expected = _csv_header(d, has_sigma)
-        if header != expected:
-            raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
-        body = fh.read()
-    table = _load_body(body, ncols)
-    if table is not None:
-        vectors, sigmas = table[:, 1 : d + 1], table[:, -1]
-    else:
-        rows, sigmas = [], []
-        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-            if not row:
-                continue
-            if len(row) != ncols:
-                raise ValueError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
+    rows = None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                # numpy parses each str as float() does, and raises the same ValueError
-                values = np.array(row[1 : d + 1], dtype=float)
-                if has_sigma:
-                    sigmas.append(float(row[-1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(values)
-        if not rows:
-            raise ValueError(f"{path}: no feature rows")
-        vectors = np.asarray(rows)
-    features = FeatureSet(vectors)
-    noise = NoiseSpec.heteroscedastic(sigmas) if has_sigma else None
-    return features, noise
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file, expected a header row") from None
+            header = [h.strip() for h in header]
+            if not header or header[0] != "id":
+                raise ValueError(f"{path}: first header column must be 'id', got {header[:1]}")
+            has_sigma = header[-1] == "sigma"
+            ncols = len(header)
+            d = ncols - 2 if has_sigma else ncols - 1
+            expected = _csv_header(d, has_sigma)
+            if header != expected:
+                raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
+            body = fh.read()
+        table = _load_body(body, ncols)
+        if table is None:
+            rows, parsed = csv.reader(io.StringIO(body, newline="")), []
+            for row in rows:
+                if not row:
+                    continue
+                lineno = reader.line_num + rows.line_num
+                if len(row) != ncols:
+                    raise ValueError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
+                try:
+                    # numpy parses each str as float() does, and raises the same ValueError
+                    parsed.append(np.array(["0", *row[1:]], dtype=float))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not parsed:
+                raise ValueError(f"{path}: no feature rows")
+            table = np.array(parsed)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num + (rows.line_num if rows else 0)}: {exc}") from None
+    noise = NoiseSpec.heteroscedastic(table[:, -1]) if has_sigma else None
+    return FeatureSet(table[:, 1 : d + 1]), noise
 
 
 def write_features_csv(path, features: FeatureSet, noise: NoiseSpec | None = None) -> None:

@@ -1,4 +1,6 @@
+import os
 import pathlib
+import threading
 import warnings
 
 import numpy as np
@@ -404,6 +406,54 @@ def test_rates_rejects_non_finite_sigma(sigma, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sigma and d must be positive and finite\n"
+
+
+_LONG = "a" * 200_000  # longer than the csv module's field limit of 131072
+_SWAPPED = "i,pi_i\n1,2\n2,1\n"  # {first} is rows 0.0, 1.0; each second file below is 1.0, 0.0
+_BOUND = f"{'mismatch bound at conservative threshold':<42}0.05\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, expected",
+    [
+        ("match {first} {second}", 'id,x1\n"a\nb",1.0\n2,abc\n', 1,
+         "error: {second}:4: could not convert string to float: 'abc'\n"),
+        ("match {first} {second}", f'id,"{_LONG}"\n1,0.5\n', 1,
+         "error: {second}:1: field larger than field limit (131072)\n"),
+        ("match {first} {second}", f'id,x1\n"{_LONG}",0.5\n', 1,
+         "error: {second}:2: field larger than field limit (131072)\n"),
+        ("rates --n 10 --d 10 --sigma 1e160", None, 0, _BOUND),
+        ("rates --n 10 --d 10 --sigma 1e-300", None, 0, _BOUND),
+        ("rates --n 10 --d 10 --sigma 1e307", None, 1,
+         "error: separation threshold overflows float64\n"),
+        ("match {first} {fifo}", 'id,x1\n"p",1.0\n"q",0.0\n', 0, _SWAPPED),
+        ("match {first} {second}", f"id,x1\n{_LONG},1.0\n2,0.0\n", 0, _SWAPPED),
+    ],
+    ids=[
+        "line-after-quoted-newline", "long-field-in-header", "long-field-in-body",
+        "sigma-1e160", "sigma-1e-300", "sigma-overflow", "quoted-fifo", "long-unquoted-id",
+    ],
+)
+def test_cli_boundary(argv, text, code, expected, tmp_path, capsys):
+    # A bad input exits 1 with one named error line, never a traceback;
+    # the last two inputs must keep matching.
+    paths = {name: tmp_path / f"{name}.csv" for name in ("first", "second", "fifo")}
+    paths["first"].write_text("id,x1\n1,0.0\n2,1.0\n")
+    writer = None
+    if "{fifo}" in argv:  # a pipe cannot be read twice or seeked
+        os.mkfifo(paths["fifo"])
+        writer = threading.Thread(target=paths["fifo"].write_text, args=(text,), daemon=True)
+        writer.start()
+    elif text is not None:
+        paths["second"].write_text(text)
+    assert main([token.format(**paths) for token in argv.split()]) == code
+    if writer is not None:
+        writer.join(timeout=10)
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", expected.format(**paths))
+    else:
+        assert err == "" and out.endswith(expected)
 
 
 @pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
