@@ -18,9 +18,9 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-import typing
 
 from . import harness, model, permgroup
 from .estimators import ESTIMATOR_NAMES, EstimatorKind, estimate
@@ -75,7 +75,7 @@ def _parse_value(kind, text: str):
 
 
 def config_from_mapping(mapping: dict[str, str]) -> harness.ExperimentConfig:
-    kinds = typing.get_type_hints(harness.ExperimentConfig)
+    kinds = harness._field_types(harness.ExperimentConfig)
     unknown = set(mapping) - set(kinds)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -146,7 +146,9 @@ def _cmd_rates(args) -> int:
     return _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first ``main`` call and kept for the process."""
     parser = _Parser(prog="permatch", description="Match noisy feature sets by permutation estimation.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -257,24 +257,44 @@ def cost_general_lsl(instance: MatchInstance, reduction: CriterionReduction) -> 
     return _floored_log(pairwise_sqdist(rhs, lhs))
 
 
-def _greedy_rows(scores: np.ndarray) -> Permutation:
-    """Each row in index order takes its smallest untaken column; ties go to the lowest index."""
-    n2, n1 = scores.shape
-    work = np.array(scores, dtype=float)  # a taken column becomes +inf
-    mapping = np.empty(n2, dtype=np.int64)
-    for i in range(n2):
-        j = int(work[i].argmin())
-        mapping[i] = j
-        work[:, j] = np.inf
-    return Permutation(mapping, codomain=n1)
+def _greedy_rows(stack: np.ndarray) -> np.ndarray:
+    """Greedy maps of a (B, n2, n1) stack of scores, as a (B, n2) index array.
+
+    In each of the B instances, each row in index order takes its smallest
+    untaken column; ties go to the lowest index.  Row i of all B instances
+    is one ``argmin``.  ``stack`` is overwritten: a taken column becomes
+    +inf in the rows below.
+    """
+    lanes = np.arange(stack.shape[0])
+    maps = np.empty(stack.shape[:2], dtype=np.int64)
+    for i in range(stack.shape[1]):
+        taken = stack[:, i].argmin(axis=1)
+        maps[:, i] = taken
+        stack[lanes, i + 1 :, taken] = np.inf
+    return maps
+
+
+# Key in a MatchInstance's __dict__ under which greedy's result is kept, as
+# cached_property keeps ``sqdist``.
+_GREEDY_KEY = "_greedy"
+
+
+def _keep_greedy(instances) -> None:
+    """Run greedy on the same-shape instances as one stack, and keep each result with its instance."""
+    maps = _greedy_rows(np.stack([instance.sqdist for instance in instances]))
+    for instance, mapping in zip(instances, maps):
+        instance.__dict__[_GREEDY_KEY] = Permutation(mapping, codomain=instance.first.n)
 
 
 def estimate_greedy(instance: MatchInstance) -> Permutation:
     """Nearest neighbor without replacement, second-set rows in index order.
 
-    Ties go to the smallest first-set index.
+    Ties go to the smallest first-set index.  The result is kept with the
+    instance, so ``solve_together`` may compute it ahead for a batch.
     """
-    return _greedy_rows(instance.sqdist)
+    if _GREEDY_KEY not in instance.__dict__:
+        _keep_greedy([instance])
+    return instance.__dict__[_GREEDY_KEY]
 
 
 def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
@@ -288,7 +308,8 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
     if instance.first_noise is None:
         raise ValueError("variance-greedy needs known first-set noise levels")
     levels = instance.first_noise.levels_for(instance.first.n)
-    return _greedy_rows(np.abs(instance.sqdist / (2.0 * instance.first.d) - levels[None, :] ** 2))
+    scores = np.abs(instance.sqdist / (2.0 * instance.first.d) - levels[None, :] ** 2)
+    return Permutation(_greedy_rows(scores[None])[0], codomain=instance.first.n)
 
 
 def _one_level_per_side(instance: MatchInstance) -> bool:
@@ -301,7 +322,8 @@ def _one_level_per_side(instance: MatchInstance) -> bool:
 
 # Memory for the instances solve_together holds at once: their features,
 # distance matrices and distinct costs, each cost counted three times
-# because solve_in_lockstep stacks a copy and gives it a search history.
+# because solve_in_lockstep stacks a copy and gives it a search history,
+# plus a copy of each distance matrix when greedy's stack is built.
 _BATCH_BYTES = 32 * 2**20
 
 # Key in a MatchInstance's __dict__ under which _kept_cost keeps the
@@ -328,6 +350,13 @@ def _kept_cost(instance: MatchInstance, tag: str) -> CostMatrix:
     return costs[tag]
 
 
+def _solve_held(held, costs, greedy: bool) -> None:
+    """Solve a held batch's costs in lockstep and, if asked, its greedy maps as one stack."""
+    solve_in_lockstep(costs)
+    if greedy and held:
+        _keep_greedy(held)
+
+
 def solve_together(instances, kinds):
     """Build the instances' assignment costs for ``kinds`` and solve them ahead, batch by batch.
 
@@ -338,34 +367,37 @@ def solve_together(instances, kinds):
     next one, if it is like the last, would take the held bytes past
     ``_BATCH_BYTES``: the held distinct costs then go to
     ``solve_in_lockstep``, which keeps each solution it finds with its cost,
-    and the held instances are yielded before the next is drawn.  An
-    instance of another shape than the held ones has them solved and
-    yielded first, since a lockstep batch holds one shape.  ``estimate``
-    returns the kept solutions through ``solve_hungarian``, with the same
-    results as without this call.
+    and, when ``kinds`` include greedy, the held distance matrices go to
+    greedy as one stack, whose results are kept with their instances.  The
+    held instances are then yielded before the next is drawn.  An instance
+    of another shape than the held ones has them solved and yielded first,
+    since a batch holds one shape.  ``estimate`` returns the kept solutions
+    through ``solve_hungarian`` and the kept greedy results through
+    ``estimate_greedy``, with the same results as without this call.
     """
     tags = [kind.tag for kind in kinds if kind.tag in ("lss", "lsns", "lsl")]
+    greedy = any(kind.tag == "greedy" for kind in kinds)
     held, costs, held_bytes = [], [], 0
     for instance in instances:
         if held and (instance.second.n, instance.first.n) != (held[-1].second.n, held[-1].first.n):
-            solve_in_lockstep(costs)
+            _solve_held(held, costs, greedy)
             yield from held
             held, costs, held_bytes = [], [], 0
         kept = list(dict.fromkeys(_kept_cost(instance, tag) for tag in tags))  # LSNS may be LSS's cost
         size = (
             instance.first.vectors.nbytes
             + instance.second.vectors.nbytes
-            + instance.sqdist.nbytes
+            + (1 + greedy) * instance.sqdist.nbytes
             + 3 * sum(cost.entries.nbytes for cost in kept)
         )
         held.append(instance)
         costs += kept
         held_bytes += size
         if held_bytes + size > _BATCH_BYTES:
-            solve_in_lockstep(costs)
+            _solve_held(held, costs, greedy)
             yield from held
             held, costs, held_bytes = [], [], 0
-    solve_in_lockstep(costs)
+    _solve_held(held, costs, greedy)
     yield from held
 
 

@@ -41,9 +41,10 @@ trial's templates from its streams.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import typing
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -333,17 +334,25 @@ def emit(summary: list[SummaryRow], path, fmt: str = "csv", xlabel: str = "sweep
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """A dataclass's field types by name, in field order, resolved once per process."""
+    return typing.get_type_hints(cls)
+
+
 def _emit_csv(summary: list[SummaryRow], path) -> None:
+    columns = list(_field_types(SummaryRow))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(typing.get_type_hints(SummaryRow)))
+        writer.writerow(columns)
         for row in summary:
-            writer.writerow(repr(v) if isinstance(v, float) else str(v) for v in astuple(row))
+            cells = (getattr(row, name) for name in columns)
+            writer.writerow(repr(v) if isinstance(v, float) else str(v) for v in cells)
 
 
 def read_summary_csv(path) -> list[SummaryRow]:
     """Parse a summary CSV back; inverse of the CSV emitter."""
-    columns = typing.get_type_hints(SummaryRow)
+    columns = _field_types(SummaryRow)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

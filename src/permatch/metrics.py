@@ -109,11 +109,20 @@ def minimax_separation_rate(sigma: float, n: int, d: float) -> float:
     """
     if n < 2:
         raise ValueError("need at least two features")
+    d = _as_float(d, "d")
     if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(d) and d > 0):
         raise ValueError("sigma and d must be positive and finite")
     log_n = math.log(n)
     scale = math.sqrt(math.sqrt(d * log_n)) if d >= log_n else math.sqrt(log_n)
     return _finite(sigma * scale, "separation rate")
+
+
+def _as_float(value, name: str) -> float:
+    """``float(value)``, or a ValueError naming it if it is an int too large for float64."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} overflows float64") from None
 
 
 def _finite(value: float, name: str) -> float:
@@ -127,6 +136,7 @@ def _threshold(alpha: float, n: int, d: int, sigma: float, low: float, high: flo
     """sigma * 4 * max(sqrt(low log(8 n^2 / alpha)), (high d log(4 n^2 / alpha))^(1/4))."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    n, d = _as_float(n, "n"), _as_float(d, "d")
     if n < 2 or not (math.isfinite(d) and d >= 1):
         raise ValueError("need n >= 2 and finite d >= 1")
     if not (math.isfinite(sigma) and sigma > 0):
@@ -160,6 +170,7 @@ def mismatch_probability_bound_raw(kappa: float, sigma: float, n: int, d: int) -
     Both terms depend only on q = (kappa / sigma)^2.  It is a float product,
     which overflows to inf (a zero term) where ``**`` would raise.
     """
+    n, d = _as_float(n, "n"), _as_float(d, "d")
     if not (kappa > 0 and sigma > 0) or n < 2 or d < 1:
         raise ValueError("kappa and sigma must be positive, n >= 2, d >= 1")
     ratio = kappa / sigma

@@ -186,9 +186,12 @@ class Permutation:
         m = a.size if self.codomain == -1 else int(self.codomain)
         if m < a.size:
             raise ValueError(f"codomain {m} smaller than domain {a.size}")
-        if a.min(initial=0) < 0 or a.max(initial=-1) >= m:
+        top = int(a.max())
+        if a.min() < 0 or top >= m:
             raise ValueError(f"images must lie in [0, {m})")
-        if np.unique(a).size != a.size:
+        seen = np.zeros(top + 1, dtype=bool)  # sized by the largest image, not sorted
+        seen[a] = True
+        if np.count_nonzero(seen) != a.size:
             raise ValueError("images must be distinct")
         object.__setattr__(self, "map", _readonly(a))
         object.__setattr__(self, "codomain", m)

@@ -72,6 +72,51 @@ def test_every_sweep_result_passes_through_solve_hungarian(monkeypatch):
     assert all(record.loss_hamming == 2 / 8 for record in swapped)
 
 
+def test_every_greedy_result_passes_through_estimate_greedy(monkeypatch):
+    # Greedy runs once per solve-ahead batch, but each greedy record still
+    # comes from estimators.estimate_greedy: a greedy swapped there changes
+    # every greedy record and no other.
+    from permatch import estimators
+
+    config = ExperimentConfig(
+        scenario="uniform-homoscedastic", n=8, d=6, sigma=0.05, sweep=(2.0, 4.0), trials=10, seed=11,
+        estimators=tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl")),
+    )
+    honest_records = run_experiment(config)
+    assert all(record.loss_01 == 0 for record in honest_records)
+
+    stacks, solves = [], []
+    greedy_rows = estimators._greedy_rows
+    solve_in_lockstep = estimators.solve_in_lockstep
+
+    def batched(stack):
+        stacks.append(len(stack))
+        return greedy_rows(stack)
+
+    def counted(costs):
+        solves.append(len(costs))
+        solve_in_lockstep(costs)
+
+    monkeypatch.setattr(estimators, "_greedy_rows", batched)
+    monkeypatch.setattr(estimators, "solve_in_lockstep", counted)
+    honest = estimators.estimate_greedy
+
+    def swapped(instance):
+        mapping = honest(instance).map.copy()
+        mapping[[0, 1]] = mapping[[1, 0]]
+        return Permutation(mapping, codomain=instance.first.n)
+
+    monkeypatch.setattr(estimators, "estimate_greedy", swapped)
+    records = run_experiment(config)
+    assert stacks == [20] and solves == [40]  # one greedy stack beside a 40-matrix lockstep
+    assert len(records) == len(honest_records)
+    for record, honest_record in zip(records, honest_records):
+        if record.estimator == "greedy":
+            assert record.loss_hamming == 2 / 8
+        else:
+            assert record == honest_record
+
+
 def test_match_inputs_take_the_one_call_parse(tmp_path, monkeypatch):
     features = np.random.default_rng(5).standard_normal((7, 3)) * 10.0 ** np.arange(-3, 4)[:, None]
     path = tmp_path / "features.csv"

@@ -282,6 +282,30 @@ def test_experiment_flag_overrides(tmp_path):
     assert out.read_text().strip().splitlines()[1].endswith(",4")  # trials column
 
 
+def test_repeated_main_calls_share_no_parse_state(tmp_path, capsys):
+    # main keeps one parser for the process; each call parses afresh.
+    from permatch import harness
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "scenario = uniform-homoscedastic\nn = 6\nd = 4\nsweep = 2.0, 3.0\n"
+        "trials = 3\nseed = 9\nestimators = greedy, lss\n"
+    )
+    out, fresh = tmp_path / "s.csv", tmp_path / "fresh.csv"
+    config = config_from_mapping(parse_config_file(cfg))
+    harness.emit(harness.aggregate(harness.run_experiment(config)), fresh)
+    assert main(["experiment", str(cfg), "--out", str(out), "--trials", "2", "--seed", "5"]) == 0
+    assert out.read_text().splitlines()[1].endswith(",2")
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0  # the config's own trials and seed
+    assert out.read_bytes() == fresh.read_bytes()
+    assert main(["experiment", str(cfg), "--out", str(out), "--trails", "2"]) == 1
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert main(["rates", "--n", "200", "--d", "200", "--alpha", "0.05"]) == 0
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --trails 2\n"
+
+
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, monkeypatch):
     from permatch import harness
 
@@ -426,12 +450,14 @@ _BOUND = f"{'mismatch bound at conservative threshold':<42}0.05\n"
         ("rates --n 10 --d 10 --sigma 1e-300", None, 0, _BOUND),
         ("rates --n 10 --d 10 --sigma 1e307", None, 1,
          "error: separation threshold overflows float64\n"),
+        (f"rates --n 10 --d 1{'0' * 320}", None, 1, "error: d overflows float64\n"),
+        (f"rates --n 1{'0' * 400} --d 10", None, 1, "error: n overflows float64\n"),
         ("match {first} {fifo}", 'id,x1\n"p",1.0\n"q",0.0\n', 0, _SWAPPED),
         ("match {first} {second}", f"id,x1\n{_LONG},1.0\n2,0.0\n", 0, _SWAPPED),
     ],
     ids=[
         "line-after-quoted-newline", "long-field-in-header", "long-field-in-body",
-        "sigma-1e160", "sigma-1e-300", "sigma-overflow", "quoted-fifo", "long-unquoted-id",
+        "sigma-1e160", "sigma-1e-300", "sigma-overflow", "huge-int-d", "huge-int-n", "quoted-fifo", "long-unquoted-id",
     ],
 )
 def test_cli_boundary(argv, text, code, expected, tmp_path, capsys):

@@ -359,6 +359,87 @@ def test_greedy_matches_sequential_hand_simulation():
     assert got.map.tolist() == expected
 
 
+def _greedy_one_instance(scores):
+    """Greedy as a per-instance row loop: one argmin per row, a taken column set to +inf."""
+    work = np.array(scores, dtype=float)
+    mapping = []
+    for i in range(work.shape[0]):
+        j = int(work[i].argmin())
+        mapping.append(j)
+        work[:, j] = np.inf
+    return mapping
+
+
+def _greedy_draws(count, n, m, d, seed, ties=False):
+    """``count`` instances of n second-set rows against m first-set rows."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda shape: rng.integers(0, 3, shape).astype(float)) if ties else rng.standard_normal
+    return [_manual_instance(draw((m, d)), draw((n, d))) for _ in range(count)]
+
+
+def _greedy_stacks(monkeypatch):
+    from permatch import estimators
+
+    sizes = []
+    rows = estimators._greedy_rows
+
+    def counted(stack):
+        sizes.append(stack.shape)
+        return rows(stack)
+
+    monkeypatch.setattr(estimators, "_greedy_rows", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "count, n, m, d, ties",
+    [(1, 50, 50, 50, False), (9, 50, 50, 50, False), (18, 50, 50, 50, False),
+     (9, 12, 20, 5, False), (18, 10, 10, 2, True)],
+    ids=["batch-1", "batch-9", "batch-18", "n-below-m", "ties"],
+)
+def test_batched_greedy_is_bit_for_bit_the_one_instance_loop(count, n, m, d, ties, monkeypatch):
+    from permatch.estimators import solve_together
+
+    instances = _greedy_draws(count, n, m, d, seed=count + n + m, ties=ties)
+    if ties:  # integer coordinates in {0, 1, 2}: rows repeat distances, and the lowest index must win
+        assert sum(np.unique(row).size < m for inst in instances for row in inst.sqdist) > count * n // 2
+        instances[0] = _manual_instance(np.zeros((m, d)), np.zeros((n, d)))  # every entry ties
+    stacks = _greedy_stacks(monkeypatch)
+    assert list(solve_together(instances, (GREEDY, LSS))) == instances
+    assert stacks == [(count, n, m)]  # one stack held the whole batch
+    for inst in instances:
+        expected = _greedy_one_instance(inst.sqdist)
+        assert estimate(inst, GREEDY).map.tolist() == expected
+        alone = _manual_instance(inst.first.vectors, inst.second.vectors)
+        assert estimate_greedy(alone) == Permutation(expected, codomain=m)
+    if ties:
+        assert estimate_greedy(instances[0]).map.tolist() == list(range(n))
+    assert stacks == [(count, n, m)] + [(1, n, m)] * count  # the lone instances ran one at a time
+
+
+def test_batched_greedy_flushes_at_a_shape_change(monkeypatch):
+    from permatch.estimators import solve_together
+
+    instances = _greedy_draws(7, 8, 8, 3, seed=1) + _greedy_draws(5, 9, 9, 3, seed=2)
+    stacks = _greedy_stacks(monkeypatch)
+    assert list(solve_together(instances, (GREEDY,))) == instances
+    assert stacks == [(7, 8, 8), (5, 9, 9)]
+    for inst in instances:
+        assert estimate_greedy(inst).map.tolist() == _greedy_one_instance(inst.sqdist)
+    assert len(stacks) == 2  # every result was kept
+
+
+@pytest.mark.parametrize("n, m", [(6, 6), (5, 9)])
+def test_variance_greedy_is_the_one_instance_loop_on_its_scores(n, m):
+    rng = np.random.default_rng(n * m)
+    for ties in (False, True):
+        for inst in _greedy_draws(4, n, m, 3, seed=n + m, ties=ties):
+            levels = rng.choice([0.5, 1.0, 1.5], size=m)
+            inst = _manual_instance(inst.first.vectors, inst.second.vectors, first_levels=levels)
+            scores = np.abs(inst.sqdist / (2.0 * inst.first.d) - levels[None, :] ** 2)
+            assert estimate_variance_greedy(inst) == Permutation(_greedy_one_instance(scores), codomain=m)
+
+
 # ----------------------------------------------------------- variance greedy
 
 def test_variance_greedy_identifies_by_levels_alone():

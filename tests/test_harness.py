@@ -216,6 +216,21 @@ def _lockstep_stack_sizes(monkeypatch):
     return sizes
 
 
+def _greedy_stack_sizes(monkeypatch):
+    """Record how many instances each greedy run holds: a solve-ahead batch, or one instance."""
+    from permatch import estimators
+
+    sizes = []
+    rows = estimators._greedy_rows
+
+    def counted(stack):
+        sizes.append(len(stack))
+        return rows(stack)
+
+    monkeypatch.setattr(estimators, "_greedy_rows", counted)
+    return sizes
+
+
 @pytest.mark.parametrize(
     "scenario, overrides",
     [
@@ -228,16 +243,20 @@ def _lockstep_stack_sizes(monkeypatch):
 )
 def test_records_equal_one_instance_at_a_time(scenario, overrides, monkeypatch):
     sizes = _lockstep_stack_sizes(monkeypatch)
+    greedy = _greedy_stack_sizes(monkeypatch)
     config = _config(scenario=scenario, estimators=_ALL_KINDS, trials=8, **overrides)
     records = run_experiment(config)
     assert sizes  # the sweep's assignments were solved in lockstep
+    # greedy ran once on all 16 instances; variance-greedy runs per instance
+    assert greedy == [16] + [1] * 16
     assert records == _one_instance_at_a_time(config)
 
 
 # What one instance of _config(estimators=_ALL_KINDS) holds in solve_together:
-# two 8 x 6 feature sets, 8 x 8 distances and two distinct 8 x 8 costs (LSNS
-# shares LSS's), each cost counted three times for the lockstep.
-_INSTANCE_BYTES = 8 * (2 * 8 * 6 + 8 * 8 + 3 * 2 * 8 * 8)
+# two 8 x 6 feature sets, 8 x 8 distances, their copy in greedy's stack and
+# two distinct 8 x 8 costs (LSNS shares LSS's), each cost counted three
+# times for the lockstep.
+_INSTANCE_BYTES = 8 * (2 * 8 * 6 + 2 * 8 * 8 + 3 * 2 * 8 * 8)
 
 
 def test_records_equal_one_instance_at_a_time_across_batches(monkeypatch):
@@ -246,14 +265,19 @@ def test_records_equal_one_instance_at_a_time_across_batches(monkeypatch):
     sizes = _lockstep_stack_sizes(monkeypatch)
     config = _config(estimators=_ALL_KINDS, trials=10)
     expected = _one_instance_at_a_time(config)
+    greedy = _greedy_stack_sizes(monkeypatch)
     monkeypatch.setattr(estimators, "_BATCH_BYTES", 9 * _INSTANCE_BYTES)
     assert run_experiment(config) == expected
     # batches of 9, 9 and 2 instances with an LSS and an LSL cost each;
     # the last batch's 4 are solved one at a time
     assert sizes == [18, 18]
+    # greedy runs once per batch, variance-greedy once per instance
+    assert greedy == [9] + [1] * 9 + [9] + [1] * 9 + [2] + [1] * 2
+    greedy.clear()
     monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)
     assert run_experiment(config) == expected
     assert sizes == [18, 18]
+    assert greedy == [1, 1] * 20
 
 
 def test_solve_together_draws_no_instance_past_the_batch_it_yields(monkeypatch):

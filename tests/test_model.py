@@ -44,6 +44,23 @@ def test_permutation_rejects_duplicates_and_out_of_range():
         Permutation([0, 1, 2], codomain=2)
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ([[0, 1]], "permutation map must be a non-empty 1-D index vector"),
+        ([0, 5, 1], "images must lie in [0, 5)"),
+        ([0, -1, 1], "images must lie in [0, 5)"),
+        ([4, 9, 4], "images must lie in [0, 5)"),  # the range is checked before distinctness
+        ([1, 3, 1], "images must be distinct"),
+        ([4, 0, 4], "images must be distinct"),  # a repeat of the largest image
+    ],
+)
+def test_injection_errors_are_named_in_order(images, message):
+    with pytest.raises(ValueError) as info:
+        Permutation(images, codomain=5)
+    assert str(info.value) == message
+
+
 def test_injection_is_valid_but_not_invertible():
     p = Permutation([4, 0], codomain=5)
     assert not p.is_square
