@@ -18,6 +18,10 @@ many instances at once while ``estimate`` still returns every result
 through ``solve_hungarian``.  ``solve_together`` holds a stream of
 instances in batches of at most 32 MiB, counted from what each instance
 holds, and hands each batch's distinct costs to ``solve_in_lockstep``.
+Greedy's result is kept with the instance too: ``solve_together`` runs
+greedy on a batch's stacked distance matrices, one ``argmin`` per row for
+all of them, and ``estimate`` still returns every greedy result through
+``estimate_greedy``.
 
 The estimators:
 
@@ -266,12 +270,11 @@ def _greedy_rows(stack: np.ndarray) -> np.ndarray:
     +inf in the rows below.
     """
     lanes = np.arange(stack.shape[0])
-    maps = np.empty(stack.shape[:2], dtype=np.int64)
-    for i in range(stack.shape[1]):
-        taken = stack[:, i].argmin(axis=1)
-        maps[:, i] = taken
+    maps = np.empty(stack.shape[1::-1], dtype=np.intp)  # row i of every instance, contiguous
+    for i, taken in enumerate(maps):
+        stack[:, i].argmin(axis=1, out=taken)
         stack[lanes, i + 1 :, taken] = np.inf
-    return maps
+    return maps.T
 
 
 # Key in a MatchInstance's __dict__ under which greedy's result is kept, as
@@ -406,7 +409,8 @@ def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:
 
     LSS, LSNS and LSL costs are kept with the instance and each keeps its
     solution, so each is built and solved once however often it is asked
-    for, and ``solve_together`` may solve them ahead.  When both noise
+    for, and ``solve_together`` may solve them ahead; greedy's result is
+    kept likewise.  When both noise
     specs hold a single sigma, LSNS's costs are LSS's divided by one
     constant, so LSNS uses LSS's cost and solution: one solve serves both,
     whichever runs first, and LSNS's result does not depend on whether LSS

@@ -9,9 +9,9 @@ concurrently, without changing any record, and distinct seeds share no
 trial.
 
 ``run_experiment`` draws the trials in order through ``solve_together``,
-which builds their assignment costs and solves them ahead in batches (see
-``permatch.estimators``); each (instance, estimator) is then estimated in
-record order.  The records equal those of one instance at a time.
+which builds their assignment costs and solves them, and greedy, ahead in
+batches (see ``permatch.estimators``); each (instance, estimator) is then
+estimated in record order.  The records equal those of one instance at a time.
 
 Scenarios
 ---------
@@ -43,6 +43,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -335,9 +336,9 @@ def emit(summary: list[SummaryRow], path, fmt: str = "csv", xlabel: str = "sweep
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, type]:
-    """A dataclass's field types by name, in field order, resolved once per process."""
-    return typing.get_type_hints(cls)
+def _field_types(cls) -> types.MappingProxyType:
+    """A dataclass's field types by name, in field order, resolved once per process (read-only)."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
 
 
 def _emit_csv(summary: list[SummaryRow], path) -> None:
