@@ -277,27 +277,34 @@ def _greedy_rows(stack: np.ndarray) -> np.ndarray:
     return maps.T
 
 
-# Key in a MatchInstance's __dict__ under which greedy's result is kept, as
+# Key in a MatchInstance's __dict__ under which greedy's map is kept, as
 # cached_property keeps ``sqdist``.
 _GREEDY_KEY = "_greedy"
 
 
 def _keep_greedy(instances) -> None:
-    """Run greedy on the same-shape instances as one stack, and keep each result with its instance."""
+    """Run greedy on the same-shape instances as one stack, and keep each map with its instance.
+
+    The maps stay index rows until ``estimate_greedy`` builds a
+    Permutation.  Building the Permutations here, while the batch's buffers
+    are live, left a large free block under a live chunk of the heap after
+    every other homo-hd sweep, and the benchmark's calibration spin reads
+    that heap state (ROADMAP item 1).
+    """
     maps = _greedy_rows(np.stack([instance.sqdist for instance in instances]))
     for instance, mapping in zip(instances, maps):
-        instance.__dict__[_GREEDY_KEY] = Permutation(mapping, codomain=instance.first.n)
+        instance.__dict__[_GREEDY_KEY] = mapping
 
 
 def estimate_greedy(instance: MatchInstance) -> Permutation:
     """Nearest neighbor without replacement, second-set rows in index order.
 
-    Ties go to the smallest first-set index.  The result is kept with the
+    Ties go to the smallest first-set index.  The map is kept with the
     instance, so ``solve_together`` may compute it ahead for a batch.
     """
     if _GREEDY_KEY not in instance.__dict__:
         _keep_greedy([instance])
-    return instance.__dict__[_GREEDY_KEY]
+    return Permutation(instance.__dict__[_GREEDY_KEY], codomain=instance.first.n)
 
 
 def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
