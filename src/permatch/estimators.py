@@ -18,9 +18,9 @@ many instances at once while ``estimate`` still returns every result
 through ``solve_hungarian``.  ``solve_together`` holds a stream of
 instances in batches of at most 32 MiB, counted from what each instance
 holds, and hands each batch's distinct costs to ``solve_in_lockstep``.
-Greedy's result is kept with the instance too: ``solve_together`` runs
-greedy on a batch's stacked distance matrices, one ``argmin`` per row for
-all of them, and ``estimate`` still returns every greedy result through
+Greedy's map is kept with the instance too: ``solve_together`` runs greedy
+on a batch's stacked distance matrices, one ``argmin`` per row for all of
+them, and ``estimate`` still returns every greedy result through
 ``estimate_greedy``.
 
 The estimators:
@@ -378,7 +378,7 @@ def solve_together(instances, kinds):
     ``_BATCH_BYTES``: the held distinct costs then go to
     ``solve_in_lockstep``, which keeps each solution it finds with its cost,
     and, when ``kinds`` include greedy, the held distance matrices go to
-    greedy as one stack, whose results are kept with their instances.  The
+    greedy as one stack, whose maps are kept with their instances.  The
     held instances are then yielded before the next is drawn.  An instance
     of another shape than the held ones has them solved and yielded first,
     since a batch holds one shape.  ``estimate`` returns the kept solutions
@@ -416,12 +416,12 @@ def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:
 
     LSS, LSNS and LSL costs are kept with the instance and each keeps its
     solution, so each is built and solved once however often it is asked
-    for, and ``solve_together`` may solve them ahead; greedy's result is
-    kept likewise.  When both noise
-    specs hold a single sigma, LSNS's costs are LSS's divided by one
-    constant, so LSNS uses LSS's cost and solution: one solve serves both,
-    whichever runs first, and LSNS's result does not depend on whether LSS
-    runs.  Per-feature levels, even equal ones, get their own LSNS solve.
+    for, and ``solve_together`` may solve them ahead; greedy's map is kept
+    likewise.  When both noise specs hold a single sigma, LSNS's costs are
+    LSS's divided by one constant, so LSNS uses LSS's cost and solution: one
+    solve serves both, whichever runs first, and LSNS's result does not
+    depend on whether LSS runs.  Per-feature levels, even equal ones, get
+    their own LSNS solve.
     """
     if kind.tag == "greedy":
         return estimate_greedy(instance)

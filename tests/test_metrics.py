@@ -267,6 +267,22 @@ def test_bounds_reject_nan(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: minimax_separation_rate(1.0, 10, 10**320), "d"),
+        (lambda: separation_threshold(0.05, 10**400, 10, 1.0), "n"),
+        (lambda: mismatch_probability_bound(5.0, 1.0, 10**400, 5), "n"),
+        (lambda: mismatch_probability_bound(5.0, 1.0, 10, 10**400), "d"),
+    ],
+    ids=["rate-d", "threshold-n", "bound-n", "bound-d"],
+)
+def test_sizes_beyond_float64_are_named(call, name):
+    # an int past float64's range raises OverflowError in float arithmetic
+    with pytest.raises(ValueError, match=f"^{name} overflows float64$"):
+        call()
+
+
 # ------------------------------------------------------------------- chi2 tail
 
 def test_chi2_tail_bound_values():
