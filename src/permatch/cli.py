@@ -81,7 +81,13 @@ def config_from_mapping(mapping: dict[str, str]) -> harness.ExperimentConfig:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "scenario" not in mapping or "sweep" not in mapping:
         raise ValueError("config must set at least 'scenario' and 'sweep'")
-    return harness.ExperimentConfig(**{key: _parse_value(kinds[key], text) for key, text in mapping.items()})
+    values = {}
+    for key, text in mapping.items():
+        try:
+            values[key] = _parse_value(kinds[key], text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return harness.ExperimentConfig(**values)
 
 
 def _cmd_match(args) -> int:

@@ -12,16 +12,6 @@ Every cost is a transform of one distance matrix, the instance's
 ``sqdist`` (entry (i, j) = ||X_j - X#_i||^2), which is computed once per
 instance and shared by all estimators run on it; general LSL, which
 compares transformed features, calls the same kernel, ``pairwise_sqdist``.
-The LSS, LSNS and LSL costs are kept with the instance as well, and each
-keeps its solution, so ``solve_together`` can build and solve the costs of
-many instances at once while ``estimate`` still returns every result
-through ``solve_hungarian``.  ``solve_together`` holds a stream of
-instances in batches of at most 32 MiB, counted from what each instance
-holds, and hands each batch's distinct costs to ``solve_in_lockstep``.
-Greedy's map is kept with the instance too: ``solve_together`` runs greedy
-on a batch's stacked distance matrices, one ``argmin`` per row for all of
-them, and ``estimate`` still returns every greedy result through
-``estimate_greedy``.
 
 The estimators:
 
@@ -33,8 +23,10 @@ The estimators:
 - LSNS (least sum of normalized squares): squared distances divided by the
   summed variances of the two features; needs known levels.  When each side
   has one shared level (both noise specs hold a single ``sigma``), that
-  divisor is a constant, so LSNS has LSS's minimiser and ``estimate``
-  solves LSS's cost for it: one solve serves both.
+  divisor is a constant, so LSNS has LSS's minimiser and uses LSS's cost
+  and solution: one solve serves both, whichever runs first, and LSNS's
+  result does not depend on whether LSS runs.  Per-feature levels, even
+  equal ones, get their own LSNS cost and solve.
 - LSL (least sum of logarithms): assignment under log squared distances;
   the likelihood maximizer when levels are unknown but travel with the
   features.  A floor on the squared distance keeps the log finite on
@@ -44,6 +36,29 @@ The estimators:
   templates coincide, provided levels differ.
 - general LSL: LSL after mapping both sides into the comparison space of a
   linear matching criterion A(x - b) = A#(x# - b#); see reduce_criterion.
+
+Solve-ahead
+-----------
+An instance keeps what its estimators build: the LSS, LSNS and LSL costs
+(``_kept_cost``), each of which keeps its solution, and greedy's map.  So
+each is built and solved once however often it is asked for, and
+``solve_together`` can build and solve them ahead for a stream of
+instances.  It builds each arriving instance's distinct costs at once,
+while a freshly drawn instance's features are still in cache, and holds
+the instance.  The held batch flushes when one more instance like the last
+would take the held bytes past ``_BATCH_BYTES`` (32 MiB, counted from what
+each instance holds), when an instance of another shape arrives (a batch
+holds one shape), and at the end of the stream.  A flush hands the batch's
+distinct costs to ``solve_in_lockstep``, which keeps each solution with its
+cost, and, when the kinds include greedy, runs greedy on the batch's
+stacked distance matrices, one ``argmin`` per row for all of them, keeping
+each map with its instance; the held instances are then yielded, before
+the next one is drawn.  Every result still passes through ``estimate``:
+a kept solution through ``solve_hungarian``, which returns it without
+solving again, and a kept greedy map through ``estimate_greedy``, which
+builds its Permutation.  So the results are those of one instance at a
+time, and code that replaces either function, such as the benchmark's
+tracer or a test, sees every result.
 """
 
 from __future__ import annotations
@@ -342,58 +357,50 @@ _BATCH_BYTES = 32 * 2**20
 _COSTS_KEY = "_assignment_costs"
 
 
-def _kept_cost(instance: MatchInstance, tag: str) -> CostMatrix:
-    """The instance's LSS, LSNS or LSL cost, built on first use and kept with it.
+def _kept_cost(instance: MatchInstance, tag: str) -> CostMatrix | None:
+    """The instance's LSS, LSNS or LSL cost, built on first use and kept with it; None for any other tag.
 
-    LSNS on one level per side is LSS's cost, the same object.
+    These three are the estimators whose cost an instance keeps.  LSNS on
+    one level per side gets LSS's cost object (see the module docstring).
     """
-    if tag == "lsns" and _one_level_per_side(instance):
-        tag = "lss"
+    if tag == "lss":
+        build = cost_lss
+    elif tag == "lsns" and _one_level_per_side(instance):
+        tag, build = "lss", cost_lss
+    elif tag == "lsns":
+        build = cost_lsns
+    elif tag == "lsl":
+        build = cost_lsl
+    else:
+        return None
     costs = instance.__dict__.setdefault(_COSTS_KEY, {})
     if tag not in costs:
-        if tag == "lss":
-            costs[tag] = cost_lss(instance)
-        elif tag == "lsns":
-            costs[tag] = cost_lsns(instance)
-        else:
-            costs[tag] = cost_lsl(instance)
+        costs[tag] = build(instance)
     return costs[tag]
 
 
-def _solve_held(held, costs, greedy: bool) -> None:
-    """Solve a held batch's costs in lockstep and, if asked, its greedy maps as one stack."""
+def _solve_held(held, costs, greedy: bool) -> list[MatchInstance]:
+    """Solve a held batch's costs in lockstep and, if asked, its greedy maps as one stack; return the batch."""
     solve_in_lockstep(costs)
     if greedy and held:
         _keep_greedy(held)
+    return held
 
 
 def solve_together(instances, kinds):
-    """Build the instances' assignment costs for ``kinds`` and solve them ahead, batch by batch.
+    """Build the instances' kept costs for ``kinds`` and solve them, and greedy, ahead, batch by batch.
 
-    A generator over any iterable of instances; it yields them in order.
-    Each arriving instance's distinct LSS, LSNS or LSL costs are built at
-    once, so that a freshly drawn instance's distance matrix is computed
-    while its features are still in cache.  Instances are held until the
-    next one, if it is like the last, would take the held bytes past
-    ``_BATCH_BYTES``: the held distinct costs then go to
-    ``solve_in_lockstep``, which keeps each solution it finds with its cost,
-    and, when ``kinds`` include greedy, the held distance matrices go to
-    greedy as one stack, whose maps are kept with their instances.  The
-    held instances are then yielded before the next is drawn.  An instance
-    of another shape than the held ones has them solved and yielded first,
-    since a batch holds one shape.  ``estimate`` returns the kept solutions
-    through ``solve_hungarian`` and the kept greedy results through
-    ``estimate_greedy``, with the same results as without this call.
+    A generator over any iterable of instances; it yields them in order,
+    each after its batch is solved.  ``estimate`` then returns the same
+    results as without this call.  See the module docstring, *Solve-ahead*.
     """
-    tags = [kind.tag for kind in kinds if kind.tag in ("lss", "lsns", "lsl")]
-    greedy = any(kind.tag == "greedy" for kind in kinds)
+    greedy = GREEDY in kinds
     held, costs, held_bytes = [], [], 0
     for instance in instances:
         if held and (instance.second.n, instance.first.n) != (held[-1].second.n, held[-1].first.n):
-            _solve_held(held, costs, greedy)
-            yield from held
+            yield from _solve_held(held, costs, greedy)
             held, costs, held_bytes = [], [], 0
-        kept = list(dict.fromkeys(_kept_cost(instance, tag) for tag in tags))  # LSNS may be LSS's cost
+        kept = [cost for cost in dict.fromkeys(_kept_cost(instance, kind.tag) for kind in kinds) if cost is not None]
         size = (
             instance.first.vectors.nbytes
             + instance.second.vectors.nbytes
@@ -404,24 +411,17 @@ def solve_together(instances, kinds):
         costs += kept
         held_bytes += size
         if held_bytes + size > _BATCH_BYTES:
-            _solve_held(held, costs, greedy)
-            yield from held
+            yield from _solve_held(held, costs, greedy)
             held, costs, held_bytes = [], [], 0
-    _solve_held(held, costs, greedy)
-    yield from held
+    yield from _solve_held(held, costs, greedy)
 
 
 def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:
     """Run one estimator on an instance and return the matched permutation.
 
-    LSS, LSNS and LSL costs are kept with the instance and each keeps its
-    solution, so each is built and solved once however often it is asked
-    for, and ``solve_together`` may solve them ahead; greedy's map is kept
-    likewise.  When both noise specs hold a single sigma, LSNS's costs are
-    LSS's divided by one constant, so LSNS uses LSS's cost and solution: one
-    solve serves both, whichever runs first, and LSNS's result does not
-    depend on whether LSS runs.  Per-feature levels, even equal ones, get
-    their own LSNS solve.
+    What an instance keeps, and LSNS's use of LSS's solve under one noise
+    level per side, are described in the module docstring (*Solve-ahead*
+    and the LSNS entry).
     """
     if kind.tag == "greedy":
         return estimate_greedy(instance)

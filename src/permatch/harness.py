@@ -8,10 +8,10 @@ draw, truth draw, noise draw), so trials may be executed in any order, or
 concurrently, without changing any record, and distinct seeds share no
 trial.
 
-``run_experiment`` draws the trials in order through ``solve_together``,
-which builds their assignment costs and solves them, and greedy, ahead in
-batches (see ``permatch.estimators``); each (instance, estimator) is then
-estimated in record order.  The records equal those of one instance at a time.
+``run_experiment`` draws the trials in order through ``solve_together``
+and estimates each (instance, estimator) in record order; the
+``permatch.estimators`` module docstring (*Solve-ahead*) says what is solved
+ahead and why the records equal those of one instance at a time.
 
 Scenarios
 ---------
@@ -45,12 +45,12 @@ import functools
 import math
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .estimators import EstimatorKind, estimate, solve_together
+from .estimators import GREEDY, LSL, LSNS, LSS, EstimatorKind, estimate, solve_together
 from .metrics import SeparationReport, loss_01, loss_hamming, separation, separation_threshold
 
 __all__ = [
@@ -98,14 +98,7 @@ class ExperimentConfig:
     sweep: tuple[float, ...] = ()
     trials: int = 100
     seed: int = 0
-    estimators: tuple[EstimatorKind, ...] = field(
-        default_factory=lambda: (
-            EstimatorKind("greedy"),
-            EstimatorKind("lss"),
-            EstimatorKind("lsns"),
-            EstimatorKind("lsl"),
-        )
-    )
+    estimators: tuple[EstimatorKind, ...] = (GREEDY, LSS, LSNS, LSL)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -152,6 +145,8 @@ class ExperimentConfig:
                 raise ValueError("sigma_levels is read only by the custom scenario")
             if len(self.sigma_levels) != self.n:
                 raise ValueError("sigma_levels must have one entry per feature")
+            if not all(math.isfinite(v) and v > 0 for v in self.sigma_levels):
+                raise ValueError(f"sigma_levels must be positive and finite, got {list(self.sigma_levels)}")
 
     @property
     def resolved_high_count(self) -> int:
@@ -233,9 +228,9 @@ def trial_separation(config: ExperimentConfig, sweep_index: int, trial: int) -> 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run every (sweep value, trial, estimator) cell and collect records.
 
-    Trials are drawn in order through ``solve_together``, which solves
-    their assignments ahead; each (instance, estimator) is then estimated
-    in record order.
+    Trials are drawn in order through ``solve_together`` and each
+    (instance, estimator) is estimated in record order; see the
+    ``permatch.estimators`` module docstring, *Solve-ahead*.
     """
     cells = [(index, float(value), trial) for index, value in enumerate(config.sweep) for trial in range(config.trials)]
     draws = (_build_trial(config, value, _trial_streams(config.seed, index, trial)) for index, value, trial in cells)

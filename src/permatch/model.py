@@ -510,6 +510,18 @@ def _load_body(body: str, ncols: int) -> np.ndarray | None:
     return table
 
 
+def _allowed_entries(table: np.ndarray, has_sigma: bool) -> np.ndarray:
+    """Which entries of a feature table, or of one row, a feature file may hold.
+
+    Every value must be finite (``1e400`` reads as inf), and a sigma must
+    also be positive.
+    """
+    allowed = np.isfinite(table)
+    if has_sigma:
+        allowed[..., -1] &= table[..., -1] > 0
+    return allowed
+
+
 def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
     """Read a feature file; returns the features and, if present, the levels.
 
@@ -517,8 +529,13 @@ def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
     carries per-feature noise levels.  Ids may be any text; they are not
     read.  The body is parsed in one ``np.loadtxt`` call when it can be,
     and otherwise row by row into the same table layout; both give the same
-    values.  Every error, a csv-module one included, is a ValueError that
-    names the file and, for a bad row or field, its physical line.
+    values.  A table that holds a non-finite value, or a sigma that is not
+    positive, is read again row by row, so that the error names its line.
+    Every error, a csv-module one included, is a ValueError that names the
+    file and, for a bad row or field, its physical line.  A header needs an
+    ``x1`` column (``header must be id,x1``); a field fails with ``could not
+    convert string to float``, ``x2 must be finite`` or ``sigma must be
+    positive and finite``.
     """
     rows = None
     try:
@@ -534,12 +551,12 @@ def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
             has_sigma = header[-1] == "sigma"
             ncols = len(header)
             d = ncols - 2 if has_sigma else ncols - 1
-            expected = _csv_header(d, has_sigma)
+            expected = _csv_header(max(d, 1), has_sigma)
             if header != expected:
                 raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
             body = fh.read()
         table = _load_body(body, ncols)
-        if table is None:
+        if table is None or not _allowed_entries(table, has_sigma).all():
             rows, parsed = csv.reader(io.StringIO(body, newline="")), []
             for row in rows:
                 if not row:
@@ -549,9 +566,15 @@ def read_features_csv(path) -> tuple[FeatureSet, NoiseSpec | None]:
                     raise ValueError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
                 try:
                     # numpy parses each str as float() does, and raises the same ValueError
-                    parsed.append(np.array(["0", *row[1:]], dtype=float))
+                    values = np.array(["0", *row[1:]], dtype=float)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                allowed = _allowed_entries(values, has_sigma)
+                if not allowed.all():
+                    k = int(allowed.argmin())
+                    rule = "positive and finite" if header[k] == "sigma" else "finite"
+                    raise ValueError(f"{path}:{lineno}: {header[k]} must be {rule}, got {row[k]!r}")
+                parsed.append(values)
             if not parsed:
                 raise ValueError(f"{path}: no feature rows")
             table = np.array(parsed)

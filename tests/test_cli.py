@@ -454,16 +454,38 @@ _BOUND = f"{'mismatch bound at conservative threshold':<42}0.05\n"
         (f"rates --n 1{'0' * 400} --d 10", None, 1, "error: n overflows float64\n"),
         ("match {first} {fifo}", 'id,x1\n"p",1.0\n"q",0.0\n', 0, _SWAPPED),
         ("match {first} {second}", f"id,x1\n{_LONG},1.0\n2,0.0\n", 0, _SWAPPED),
+        ("match {first} {second}", "id,x1\n1,1.0\n2,nan\n", 1, "error: {second}:3: x1 must be finite, got 'nan'\n"),
+        ("match {first} {second}", "id,x1\n1,inf\n2,0.0\n", 1, "error: {second}:2: x1 must be finite, got 'inf'\n"),
+        ("match {first} {second}", "id,x1\n1,1e400\n2,0.0\n", 1,
+         "error: {second}:2: x1 must be finite, got '1e400'\n"),
+        ("match {first} {second}", "id,x1,sigma\n1,1.0,1\n2,0.0,0\n", 1,
+         "error: {second}:3: sigma must be positive and finite, got '0'\n"),
+        ("match {first} {second}", "id,x1,sigma\n1,1.0,-1\n2,0.0,1\n", 1,
+         "error: {second}:2: sigma must be positive and finite, got '-1'\n"),
+        ("match {first} {second}", "id\n1\n2\n", 1, "error: {second}: header must be id,x1, got id\n"),
+        ("match {first} {second}", "id,sigma\n1,0.5\n", 1,
+         "error: {second}: header must be id,x1,sigma, got id,sigma\n"),
+        ("experiment {second} --out {out}", "scenario = custom\nn = 50.0\nsweep = 1\n", 1,
+         "error: n: invalid literal for int() with base 10: '50.0'\n"),
+        ("experiment {second} --out {out}", "scenario = custom\nsweep = 1, abc\n", 1,
+         "error: sweep: could not convert string to float: ' abc'\n"),
+        ("experiment {second} --out {out}", "scenario = custom\nn = 3\nsigma_levels = 1, 0, 1\nsweep = 1\n", 1,
+         "error: sigma_levels must be positive and finite, got [1.0, 0.0, 1.0]\n"),
+        ("experiment {second} --out {out}", "sweep = 1\n", 1, "error: config must set at least 'scenario' and 'sweep'\n"),
+        ("experiment {second} --out {out}", "scenario = custom\n", 1,
+         "error: config must set at least 'scenario' and 'sweep'\n"),
     ],
     ids=[
         "line-after-quoted-newline", "long-field-in-header", "long-field-in-body",
         "sigma-1e160", "sigma-1e-300", "sigma-overflow", "huge-int-d", "huge-int-n", "quoted-fifo", "long-unquoted-id",
+        "x-nan", "x-inf", "x-1e400", "sigma-zero", "sigma-negative", "header-id", "header-id-sigma",
+        "config-float-n", "config-bad-sweep", "config-zero-sigma-level", "config-no-scenario", "config-no-sweep",
     ],
 )
 def test_cli_boundary(argv, text, code, expected, tmp_path, capsys):
     # A bad input exits 1 with one named error line, never a traceback;
-    # the last two inputs must keep matching.
-    paths = {name: tmp_path / f"{name}.csv" for name in ("first", "second", "fifo")}
+    # the inputs that exit 0 must keep matching.
+    paths = {name: tmp_path / f"{name}.csv" for name in ("first", "second", "fifo", "out")}
     paths["first"].write_text("id,x1\n1,0.0\n2,1.0\n")
     writer = None
     if "{fifo}" in argv:  # a pipe cannot be read twice or seeked

@@ -429,6 +429,18 @@ def test_batched_greedy_flushes_at_a_shape_change(monkeypatch):
     assert len(stacks) == 2  # every result was kept
 
 
+def test_only_lss_lsns_and_lsl_keep_a_cost():
+    # Every other tag gets None and leaves the instance as it was, not an LSL cost.
+    from permatch.estimators import _kept_cost
+
+    inst, _ = _instance(6, 3, 1.0, seed=4)
+    for tag in ("greedy", "variance-greedy", "general-lsl"):
+        assert _kept_cost(inst, tag) is None
+    assert set(vars(inst)) == {"first", "second", "first_noise", "second_noise", "truth"}
+    assert _kept_cost(inst, "lsns") is _kept_cost(inst, "lss")  # one level per side
+    assert _kept_cost(inst, "lsl").entries.tobytes() == cost_lsl(inst).entries.tobytes()
+
+
 @pytest.mark.parametrize("n, m", [(6, 6), (5, 9)])
 def test_variance_greedy_is_the_one_instance_loop_on_its_scores(n, m):
     rng = np.random.default_rng(n * m)
@@ -520,6 +532,36 @@ def test_criterion_reduction_validates_rows():
             B=np.eye(2), V=np.array([[1.0, 1.0], [0.0, 1.0]]), V_sharp=np.eye(2),
             b=np.zeros(2), b_sharp=np.zeros(2),
         )
+
+
+def _reduction(**fields):
+    """The identity reduction in R^2 with some fields replaced."""
+    base = dict(B=np.eye(2), V=np.eye(2), V_sharp=np.eye(2), b=np.zeros(2), b_sharp=np.zeros(2))
+    return CriterionReduction(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _reduction(B=np.ones(2)), "B, V and V_sharp must be matrices"),
+        (lambda: _reduction(B=np.eye(3)), "B must be 2 x 2 to match the row spaces, got (3, 3)"),
+        (lambda: _reduction(b=np.zeros(3)), "offset lengths must match the ambient dimension"),
+        (lambda: _reduction(B=[[np.nan, 0.0], [0.0, 1.0]]), "B contains non-finite entries"),
+        (lambda: reduce_criterion(np.ones(3), np.eye(3)), "A and A_sharp must be matrices"),
+        (lambda: reduce_criterion(np.eye(2), np.eye(3)), "A and A_sharp must share their row count, got 2 vs 3"),
+        (lambda: reduce_criterion(np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]), "criterion matrices must be finite"),
+        (lambda: cost_general_lsl(_instance(5, 4, 1.0, seed=1)[0], CriterionReduction.identity(3)),
+         "reduction expects ambient dimensions (3, 3), instance has (4, 4)"),
+    ],
+    ids=[
+        "reduction-vector-B", "reduction-B-shape", "reduction-offset-length", "reduction-nan-B",
+        "criterion-vector", "criterion-row-counts", "criterion-inf", "general-lsl-dimension",
+    ],
+)
+def test_criterion_input_is_checked(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------------- general LSL

@@ -53,6 +53,8 @@ def test_config_validation():
         _config(scenario="greedy-adversarial", sweep=(0.0,))
     with pytest.raises(ValueError):
         _config(scenario="custom", sigma_levels=(1.0, 2.0))  # wrong length
+    with pytest.raises(ValueError, match=r"sigma_levels must be positive and finite, got \[1.0, 0.0, "):
+        _config(scenario="custom", sigma_levels=(1.0, 0.0) * 4)  # fails here, not at the first trial
     with pytest.raises(ValueError, match="read only by the custom scenario"):
         _config(sigma_levels=(5.0,) * 8)  # right length, but uniform-homoscedastic ignores it
     with pytest.raises(ValueError, match="high_count must be nonnegative"):

@@ -279,6 +279,37 @@ def test_adversarial_pair_needs_a_dimension():
         adversarial_pair_features(0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: uniform_box_features(3, 2, -1.0, seed=0), "tau must be finite and nonnegative, got -1.0"),
+        (lambda: uniform_box_features(3, 2, math.inf, seed=0), "tau must be finite and nonnegative, got inf"),
+        (lambda: uniform_box_features(3, 2, 1.0, seed=-1), "seed must be a nonnegative integer"),
+        (lambda: scaled_identity_features(3, -0.5), "tau must be finite and nonnegative, got -0.5"),
+        (lambda: scaled_identity_features(3, math.nan), "tau must be finite and nonnegative, got nan"),
+        (lambda: least_favorable_features([1.0], 1.0), "need at least two noise levels"),
+        (lambda: least_favorable_features([[1.0, 2.0]], 1.0), "need at least two noise levels"),
+        (lambda: least_favorable_features([0.0, 1.0], 1.0), "every noise level must be positive and finite"),
+        (lambda: least_favorable_features([1.0, math.inf], 1.0), "every noise level must be positive and finite"),
+        (lambda: least_favorable_features([1.0, 1.0], 0.0), "kappa must be positive and finite, got 0.0"),
+        (lambda: least_favorable_features([1.0, 1.0], math.nan), "kappa must be positive and finite, got nan"),
+        (lambda: least_favorable_features([1.0, 1.0], 1.0, d=0), "d must be at least 1"),
+        (lambda: adversarial_pair_features(3, -2.0), "kappa must be positive and finite, got -2.0"),
+        (lambda: adversarial_pair_features(3, math.inf), "kappa must be positive and finite, got inf"),
+    ],
+    ids=[
+        "box-negative-tau", "box-inf-tau", "box-negative-seed", "identity-negative-tau", "identity-nan-tau",
+        "least-favorable-one-level", "least-favorable-matrix", "least-favorable-zero-level",
+        "least-favorable-inf-level", "least-favorable-zero-kappa", "least-favorable-nan-kappa",
+        "least-favorable-d-zero", "adversarial-negative-kappa", "adversarial-inf-kappa",
+    ],
+)
+def test_template_builders_check_their_arguments(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_adversarial_instance_valid_inside_range():
     import warnings
 
@@ -446,18 +477,19 @@ _H, _HS = "id,x1,x2\n", "id,x1,x2,sigma\n"
         (_H, False),
         (_HS + "1,0.5,1.5,0.25\n2,2.5,3.5,0.5\n", True),
         (_HS + "1,0.5,1.5,nan\n", True),
-        ("id,sigma\n1,0.5\n", True),
     ],
     ids=[
         "blank-line", "whitespace-line", "hash", "quoted", "quoted-newline", "underscore",
         "spaces", "empty-field", "abc", "hex", "nan", "1e400", "Infinity", "crlf", "cr-only",
         "trailing-comma", "short-rows", "text-id", "devanagari-digit", "fullwidth-digit",
-        "no-final-newline", "header-only", "sigma", "sigma-nan", "d-zero",
+        "no-final-newline", "header-only", "sigma", "sigma-nan",
     ],
 )
 def test_features_csv_loadtxt_agrees_with_the_row_loop(text, fast, tmp_path, monkeypatch):
     # The same features' bytes and levels, or the same error message, with
-    # and without the one-call parse; ``fast`` says whether it is used.
+    # and without the one-call parse; ``fast`` says whether it reads the
+    # text.  A table it reads with a non-finite value still goes to the row
+    # loop, which names the line.
     path = tmp_path / "features.csv"
     path.write_text(text, newline="")
     load_body, tables = model._load_body, []
