@@ -24,11 +24,14 @@ Distances
 estimator cost and the template separation are transforms of its output.
 It blocks both sets, up to ``_SQDIST_BLOCK`` differences per block, into
 two buffers from one allocation per call: a small instance takes a few
-numpy calls, not a few per row, and a large one allocates nothing per
-step, so its speed does not depend on the state of the process's heap.
+numpy calls, not a few per row, and no step allocates a block, so the kernel's
+speed does not depend on the state of the process's heap.
 The second buffer holds each second-set block repeated across a first-set
 block, so every subtraction runs over contiguous operands in one long
-inner loop.
+inner loop.  Each block's squared norms are one ``np.vecdot`` pass, a BLAS
+dot per entry; a dot longer than ``_DOT_SEGMENT`` (8192) elements is split
+into segments added in index order, so the bits depend on the BLAS core
+kernel but not on its thread count.
 ``MatchInstance.sqdist`` holds its result for an instance, computed on
 first use and then shared by every estimator run on that instance.
 """
@@ -236,6 +239,9 @@ class Permutation:
 # Elements per block of pairwise_sqdist (256 KiB of float64): the block
 # buffer stays in cache however large d is.
 _SQDIST_BLOCK = 2**15
+# Longest dot of pairwise_sqdist: OpenBLAS splits a dot of more than 10**4
+# elements across its threads, and the split changes the sum's bits.
+_DOT_SEGMENT = 8192
 
 
 def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -256,24 +262,39 @@ def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     first-set row; subtracting from the tile runs over contiguous operands
     in one loop of the whole block, ~1.4x faster per element at d = 128.
     Subtraction is exact elementwise, so the loop shape does not change a
-    bit.  Each entry is one contiguous sum over d, reduced in the same order
-    whatever the block shape.  For finite features a non-finite entry can
-    only be an overflow, which raises ValueError.
+    bit.  Each entry is then one ``np.vecdot`` of its difference with
+    itself, a BLAS dot of the same nonnegative squares: bit-equal to
+    ``np.vecdot(first[j] - second[i], first[j] - second[i])`` whatever the
+    block shape.  Its bits depend on the BLAS core kernel, but not on the
+    BLAS thread count: above ``_DOT_SEGMENT`` elements the dot is split into
+    segments of that length, each run on one thread, and their dots (a few
+    values per step) are added in index order.  For finite features a
+    non-finite entry can only be an overflow, which raises ValueError.
     """
     (n, d), m = second.shape, first.shape[0]
     out = np.empty((n, m))
     fstep = max(1, min(m, _SQDIST_BLOCK // d))
     sstep = max(1, min(n, _SQDIST_BLOCK // (fstep * d)))
     buf, tile = np.empty((2, sstep, fstep, d))
+    firsts, diffs = first[None], buf
+    if sstep > 1:
+        # The whole first set is one block: repeat it once into buf and take
+        # the differences in the tile, so that no subtraction broadcasts (a
+        # broadcasting ufunc allocates iterator buffers on every call).
+        firsts, diffs = buf, tile
+        np.copyto(buf, first[None])
     with np.errstate(over="ignore"):
         for i in range(0, n, sstep):
             rows = tile[: n - i]
             np.copyto(rows, second[i : i + sstep, None])
             for j in range(0, m, fstep):
-                b = np.subtract(first[None, j : j + fstep], rows[:, : m - j], out=buf[: n - i, : m - j])
-                np.square(b, out=b)
-                b.sum(axis=2, out=out[i : i + sstep, j : j + fstep])
-    if not np.isfinite(out).all():
+                b = np.subtract(firsts[: n - i, j : j + fstep], rows[:, : m - j], out=diffs[: n - i, : m - j])
+                block = out[i : i + sstep, j : j + fstep]
+                np.vecdot(b[..., :_DOT_SEGMENT], b[..., :_DOT_SEGMENT], out=block)
+                for k in range(_DOT_SEGMENT, d, _DOT_SEGMENT):
+                    block += np.vecdot(b[..., k : k + _DOT_SEGMENT], b[..., k : k + _DOT_SEGMENT])
+    # entries are sums of squares, so an inf or a NaN shows in the max
+    if not np.isfinite(out.max()):
         raise ValueError("squared distances overflow float64; rescale the features")
     return out
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from permatch import (
+    DEFAULT_SQDIST_FLOOR,
     AssignmentSolution,
     CostMatrix,
     NoiseSpec,
@@ -281,7 +282,11 @@ def test_total_cost_equals_selected_sum():
 def _pinned_costs():
     theta = uniform_box_features(50, 50, 1.4, seed=5)
     truth = random_permutation(np.random.default_rng(6), 50)
-    yield "lsl-50x50", cost_lsl(generate_instance(theta, NoiseSpec.homoscedastic(1.0), truth, 7))
+    inst = generate_instance(theta, NoiseSpec.homoscedastic(1.0), truth, 7)
+    # cost_lsl's transform of a per-row square-and-sum: the distance kernel's
+    # bits vary with the BLAS core kernel, and this pin is the solver's
+    sq = np.stack([np.square(inst.first.vectors - row).sum(axis=1) for row in inst.second.vectors])
+    yield "lsl-50x50", CostMatrix(np.log(np.maximum(sq, DEFAULT_SQDIST_FLOOR)))
     yield "gaussian-12x20", CostMatrix(np.random.default_rng(12).standard_normal((12, 20)))
     # entries 0-3: several tree rows reach a path column at the same length,
     # and the earliest of them keeps it as predecessor

@@ -80,8 +80,8 @@ def test_cost_lss_matches_naive_double_loop():
         entries = cost_lss(inst).entries
         for i in range(inst.second.n):
             for j in range(inst.first.n):
-                expected = np.sum((inst.first.vectors[j] - inst.second.vectors[i]) ** 2)
-                assert entries[i, j] == expected
+                diff = inst.first.vectors[j] - inst.second.vectors[i]
+                assert entries[i, j] == np.dot(diff, diff)
 
 
 def test_cost_lsns_homoscedastic_is_half_lss():

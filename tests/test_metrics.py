@@ -207,6 +207,21 @@ def test_threshold_monotone_in_alpha():
         separation_threshold(1.0, 10, 5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.0, 10, 5, 1.0), r"alpha must lie in \(0, 1\), got 0.0"),
+        ((1.0, 10, 5, 1.0), r"alpha must lie in \(0, 1\), got 1.0"),
+        ((0.05, 1, 5, 1.0), "need n >= 2 and finite d >= 1"),
+        ((0.05, 10, 0, 1.0), "need n >= 2 and finite d >= 1"),
+        ((0.05, 10, math.inf, 1.0), "need n >= 2 and finite d >= 1"),
+    ],
+)
+def test_threshold_names_a_bad_alpha_n_or_d(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        separation_threshold(*args)
+
+
 def test_conservative_threshold_dominates():
     for n, d in ((10, 5), (100, 50), (500, 200)):
         assert separation_threshold_conservative(0.1, n, d, 1.0) > separation_threshold(0.1, n, d, 1.0)

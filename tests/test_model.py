@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -61,6 +66,21 @@ def test_injection_errors_are_named_in_order(images, message):
     assert str(info.value) == message
 
 
+def test_permutation_equality_hash_repr_and_compose_error():
+    p = Permutation([2, 0, 1])
+    assert p.__eq__([2, 0, 1]) is NotImplemented
+    assert p != [2, 0, 1]
+    assert Permutation([2, 0], codomain=3) != Permutation([2, 0], codomain=4)
+    assert hash(p) == hash(Permutation(np.array([2, 0, 1])))
+    assert len({p, Permutation([2, 0, 1]), Permutation.identity(3)}) == 2
+    assert repr(Permutation([4, 0], codomain=5)) == "Permutation([4, 0], codomain=5)"
+    message = "composition requires a square outer permutation of matching size"
+    with pytest.raises(ValueError, match=message):
+        p.compose(Permutation.identity(4))
+    with pytest.raises(ValueError, match=message):
+        Permutation([4, 0], codomain=5).compose(Permutation.identity(2))
+
+
 def test_injection_is_valid_but_not_invertible():
     p = Permutation([4, 0], codomain=5)
     assert not p.is_square
@@ -103,6 +123,9 @@ def test_noise_spec_validation():
         NoiseSpec.heteroscedastic([1.0, 0.0])
     with pytest.raises(ValueError):
         NoiseSpec(sigma=1.0, levels=np.ones(3))
+    for levels in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="levels must be a non-empty 1-D vector"):
+            NoiseSpec.heteroscedastic(levels)
     assert NoiseSpec.homoscedastic(2.0).levels_for(4).tolist() == [2.0] * 4
 
 
@@ -363,14 +386,12 @@ def test_match_instance_sqdist_is_read_only_and_cached():
 
 
 def _sqdist_per_row(second, first):
-    """pairwise_sqdist as one (block, d) step per second-set row, the kernel's
-    earlier form: each entry one contiguous sum over d."""
+    """pairwise_sqdist's spec: each entry one np.vecdot of its difference with itself."""
     out = np.empty((second.shape[0], first.shape[0]))
-    step = max(1, 2**15 // first.shape[1])
     with np.errstate(over="ignore"):
         for i, row in enumerate(second):
-            for j in range(0, first.shape[0], step):
-                out[i, j : j + step] = np.square(first[j : j + step] - row).sum(axis=1)
+            diff = first - row
+            out[i] = np.vecdot(diff, diff)
     return out
 
 
@@ -413,6 +434,41 @@ def test_pairwise_sqdist_is_hex_equal_on_ties_and_names_an_overflow():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="squared distances overflow float64"):
             pairwise_sqdist(huge, -huge)
+
+
+def test_pairwise_sqdist_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10**4 elements across its threads;
+    # d = 20001 is three segments, the last of one element
+    code = (
+        "import numpy as np; from permatch import pairwise_sqdist; "
+        "rng = np.random.default_rng(3); "
+        "second, first = rng.normal(size=(6, 20001)), rng.normal(size=(7, 20001)); "
+        "print(pairwise_sqdist(second, first).tobytes().hex())"
+    )
+    src = str(pathlib.Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    rng = np.random.default_rng(3)
+    second, first = rng.normal(size=(6, 20001)), rng.normal(size=(7, 20001))
+    assert pairwise_sqdist(second, first).tobytes().hex() == child.stdout.strip()
+
+
+@pytest.mark.parametrize("n, m, d", [(800, 1000, 128), (100, 100, 2000), (50, 50, 50)])
+def test_pairwise_sqdist_allocates_only_its_output_and_buffers(n, m, d):
+    rng = np.random.default_rng(d)
+    second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    # the kernel's buffer pair; the 4 KiB below covers the Python objects of
+    # its views, not a temporary the size of a block or of the output
+    fstep = max(1, min(m, model._SQDIST_BLOCK // d))
+    sstep = max(1, min(n, model._SQDIST_BLOCK // (fstep * d)))
+    buffers = 2 * sstep * fstep * d * 8
+    tracemalloc.start()
+    try:
+        out = pairwise_sqdist(second, first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + buffers + 4096
 
 
 def test_feature_set_validation():
