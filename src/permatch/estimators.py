@@ -10,8 +10,7 @@ permutation is stored on a MatchInstance.
 
 Every cost is a transform of one distance matrix, the instance's
 ``sqdist`` (entry (i, j) = ||X_j - X#_i||^2), which is computed once per
-instance and shared by all estimators run on it; general LSL, which
-compares transformed features, calls the same kernel, ``pairwise_sqdist``.
+instance and shared by all estimators run on it.
 
 The estimators:
 
@@ -34,8 +33,11 @@ The estimators:
 - variance-greedy: matches on noise levels alone by comparing per-pair
   mean squared distances to the first set's variances; works even when all
   templates coincide, provided levels differ.
-- general LSL: LSL after mapping both sides into the comparison space of a
-  linear matching criterion A(x - b) = A#(x# - b#); see reduce_criterion.
+
+A linear matching criterion A(x - b) = A#(x# - b#) is not an estimator of
+its own: ``reduce_criterion`` builds its ``CriterionReduction``, whose
+``apply`` maps an instance into the criterion's comparison space, and any
+estimator runs on the result.  General LSL is LSL on it.
 
 Solve-ahead
 -----------
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import CostMatrix, solve_hungarian, solve_in_lockstep
-from .model import MatchInstance, Permutation, pairwise_sqdist
+from .model import FeatureSet, MatchInstance, Permutation
 
 __all__ = [
     "DEFAULT_SQDIST_FLOOR",
@@ -83,7 +85,6 @@ __all__ = [
     "cost_lss",
     "cost_lsns",
     "cost_lsl",
-    "cost_general_lsl",
     "reduce_criterion",
     "solve_together",
     "estimate",
@@ -107,8 +108,8 @@ class CriterionReduction:
     ``V`` and ``V_sharp`` have orthonormal rows and map raw features (minus
     the offsets ``b``/``b_sharp``) into the criterion's comparison spaces;
     ``B`` relates the two sides there.  Orthonormal rows keep the
-    transformed noise white, so the plain estimators stay valid after the
-    reduction.
+    transformed noise white.  ``apply`` maps an instance through the
+    reduction, and every estimator runs on the result.
     """
 
     B: np.ndarray
@@ -147,37 +148,50 @@ class CriterionReduction:
         zero = np.zeros(d)
         return cls(B=eye, V=eye, V_sharp=eye, b=zero, b_sharp=zero)
 
+    def apply(self, instance: MatchInstance) -> MatchInstance:
+        """The instance in the criterion's comparison space; it keeps the truth and has no noise specs.
 
-# Estimators selectable by name (CLI, config files); general-lsl also needs
-# a criterion reduction, so it is built only through EstimatorKind.general_lsl.
+        Transforms both sides (x̄ = V(x - b), x̄# = V#(x# - b#)), forms
+        M = B(B^T B)^+ B^T + B B^T, and returns first features M^+ x̄_j and
+        second features M^+ B x̄#_i, so a pair's squared distance is
+        ||M^+ (x̄_j - B x̄#_i)||^2 and LSL on the result is general LSL.  For
+        orthogonal B, M = 2I and M^+ halves the residual, a pure rescaling
+        of the transformed features.
+        """
+        if self.V.shape[1] != instance.first.d or self.V_sharp.shape[1] != instance.second.d:
+            raise ValueError(
+                f"reduction expects ambient dimensions ({self.V.shape[1]}, "
+                f"{self.V_sharp.shape[1]}), instance has ({instance.first.d}, {instance.second.d})"
+            )
+        B = self.B
+        first_t = (instance.first.vectors - self.b) @ self.V.T
+        second_t = (instance.second.vectors - self.b_sharp) @ self.V_sharp.T
+        M = B @ np.linalg.pinv(B.T @ B) @ B.T + B @ B.T
+        M_pinv = np.linalg.pinv(M)
+        return MatchInstance(
+            first=FeatureSet(first_t @ M_pinv.T),
+            second=FeatureSet((second_t @ B.T) @ M_pinv.T),
+            truth=instance.truth,
+        )
+
+
+# The estimators, by the names the CLI, config files and EstimatorKind take.
 ESTIMATOR_NAMES = ("greedy", "lss", "lsns", "lsl", "variance-greedy")
 
 
 @dataclass(frozen=True)
 class EstimatorKind:
-    """A named estimator; ``general_lsl`` additionally carries its reduction."""
+    """A named estimator; ``tag`` is one of ESTIMATOR_NAMES."""
 
     tag: str
-    reduction: CriterionReduction | None = None
-
-    _TAGS = ESTIMATOR_NAMES + ("general-lsl",)
 
     def __post_init__(self):
-        if self.tag not in self._TAGS:
-            raise ValueError(f"unknown estimator {self.tag!r}; expected one of {self._TAGS}")
-        if (self.tag == "general-lsl") != (self.reduction is not None):
-            raise ValueError("a criterion reduction is required exactly for general-lsl")
-
-    @classmethod
-    def general_lsl(cls, reduction: CriterionReduction) -> "EstimatorKind":
-        return cls(tag="general-lsl", reduction=reduction)
+        if self.tag not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator {self.tag!r}; expected one of {ESTIMATOR_NAMES}")
 
     @classmethod
     def from_name(cls, name: str) -> "EstimatorKind":
-        name = name.strip().lower()
-        if name == "general-lsl":
-            raise ValueError("general-lsl needs an explicit reduction; build it via EstimatorKind.general_lsl")
-        return cls(tag=name)
+        return cls(tag=name.strip().lower())
 
 
 GREEDY = EstimatorKind("greedy")
@@ -208,14 +222,9 @@ def cost_lsns(instance: MatchInstance) -> CostMatrix:
     return CostMatrix(instance.sqdist / denom)
 
 
-def _floored_log(sq: np.ndarray) -> CostMatrix:
-    """Costs log(max(sq, DEFAULT_SQDIST_FLOOR))."""
-    return CostMatrix(np.log(np.maximum(sq, DEFAULT_SQDIST_FLOOR)))
-
-
 def cost_lsl(instance: MatchInstance) -> CostMatrix:
     """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, DEFAULT_SQDIST_FLOOR))."""
-    return _floored_log(instance.sqdist)
+    return CostMatrix(np.log(np.maximum(instance.sqdist, DEFAULT_SQDIST_FLOOR)))
 
 
 def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
@@ -249,31 +258,6 @@ def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
     u2, s2, v2 = thin(A_sharp)
     B = (u1.T @ u2) * s2[None, :] / s1[:, None]
     return CriterionReduction(B=B, V=v1, V_sharp=v2, b=b, b_sharp=b_sharp)
-
-
-def cost_general_lsl(instance: MatchInstance, reduction: CriterionReduction) -> CostMatrix:
-    """LSL costs in the comparison space of a linear matching criterion.
-
-    Transforms both sides (x̄ = V(x - b), x̄# = V#(x# - b#)), forms
-    M = B(B^T B)^+ B^T + B B^T, and scores pairs by
-    log(max(||M^+ (x̄_j - B x̄#_i)||^2, DEFAULT_SQDIST_FLOOR)).  For
-    orthonormal-column B both terms of M coincide and M^+ halves the
-    residual, a pure monotone rescaling of plain LSL in the transformed
-    space.
-    """
-    if reduction.V.shape[1] != instance.first.d or reduction.V_sharp.shape[1] != instance.second.d:
-        raise ValueError(
-            f"reduction expects ambient dimensions ({reduction.V.shape[1]}, "
-            f"{reduction.V_sharp.shape[1]}), instance has ({instance.first.d}, {instance.second.d})"
-        )
-    B = reduction.B
-    first_t = (instance.first.vectors - reduction.b) @ reduction.V.T
-    second_t = (instance.second.vectors - reduction.b_sharp) @ reduction.V_sharp.T
-    M = B @ np.linalg.pinv(B.T @ B) @ B.T + B @ B.T
-    M_pinv = np.linalg.pinv(M)
-    lhs = first_t @ M_pinv.T
-    rhs = (second_t @ B.T) @ M_pinv.T
-    return _floored_log(pairwise_sqdist(rhs, lhs))
 
 
 def _greedy_rows(stack: np.ndarray) -> np.ndarray:
@@ -427,8 +411,4 @@ def estimate(instance: MatchInstance, kind: EstimatorKind) -> Permutation:
         return estimate_greedy(instance)
     if kind.tag == "variance-greedy":
         return estimate_variance_greedy(instance)
-    if kind.tag == "general-lsl":
-        cost = cost_general_lsl(instance, kind.reduction)
-    else:
-        cost = _kept_cost(instance, kind.tag)
-    return solve_hungarian(cost).assignment
+    return solve_hungarian(_kept_cost(instance, kind.tag)).assignment

@@ -131,9 +131,6 @@ class ExperimentConfig:
             raise ValueError(f"{self.scenario} sweep values are {label}s and must be positive")
         if len(set(self.sweep)) != len(self.sweep):
             raise ValueError(f"duplicate sweep values in {list(self.sweep)}")
-        for kind in self.estimators:
-            if kind.tag == "general-lsl":
-                raise ValueError("general-lsl is not configurable through experiment configs")
         if self.scenario == "identity-heteroscedastic":
             if self.d != self.n:
                 raise ValueError("identity-heteroscedastic templates need d == n")

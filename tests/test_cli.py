@@ -1,5 +1,7 @@
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -18,7 +20,8 @@ from permatch import (
     uniform_box_features,
     write_features_csv,
 )
-from permatch.cli import config_from_mapping, main, parse_config_file
+from permatch import cli
+from permatch.cli import config_from_mapping, entrypoint, main, parse_config_file
 
 
 @pytest.fixture()
@@ -533,3 +536,35 @@ def test_shipped_configs_parse():
         assert config.trials >= 200
         assert len(config.sweep) == 5
         assert {k.tag for k in config.estimators} == {"greedy", "lss", "lsns", "lsl"}
+
+
+def test_config_value_of_an_unknown_field_type_is_a_type_error():
+    # a field type with no parser is a bug in the config fields, not bad input
+    with pytest.raises(TypeError) as info:
+        cli._parse_value(bool, "true")
+    assert str(info.value) == "no config parser for <class 'bool'>"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["rates", "--n", "50", "--d", "10"], 0), (["rates", "--n", "50", "--d", "10", "--sigma", "-1"], 1)],
+    ids=["good", "bad"],
+)
+def test_entrypoint_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["permatch", *argv])
+    with pytest.raises(SystemExit) as info:
+        entrypoint()
+    assert info.value.code == code
+    assert capsys.readouterr() == expected
+
+
+def test_cli_module_runs_as_a_script(capsys):
+    argv = ["rates", "--n", "50", "--d", "10"]
+    assert main(argv) == 0
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-m", "permatch.cli", *argv], env=env, capture_output=True, text=True)
+    assert child.returncode == 0
+    assert child.stdout == capsys.readouterr().out

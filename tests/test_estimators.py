@@ -21,7 +21,6 @@ from permatch import (
     NoiseSpec,
     Permutation,
     certify,
-    cost_general_lsl,
     cost_lsl,
     cost_lsns,
     cost_lss,
@@ -29,6 +28,7 @@ from permatch import (
     estimate_greedy,
     estimate_variance_greedy,
     generate_instance,
+    pairwise_sqdist,
     random_permutation,
     reduce_criterion,
     solve_hungarian,
@@ -434,7 +434,7 @@ def test_only_lss_lsns_and_lsl_keep_a_cost():
     from permatch.estimators import _kept_cost
 
     inst, _ = _instance(6, 3, 1.0, seed=4)
-    for tag in ("greedy", "variance-greedy", "general-lsl"):
+    for tag in ("greedy", "variance-greedy"):
         assert _kept_cost(inst, tag) is None
     assert set(vars(inst)) == {"first", "second", "first_noise", "second_noise", "truth"}
     assert _kept_cost(inst, "lsns") is _kept_cost(inst, "lss")  # one level per side
@@ -550,7 +550,7 @@ def _reduction(**fields):
         (lambda: reduce_criterion(np.ones(3), np.eye(3)), "A and A_sharp must be matrices"),
         (lambda: reduce_criterion(np.eye(2), np.eye(3)), "A and A_sharp must share their row count, got 2 vs 3"),
         (lambda: reduce_criterion(np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]), "criterion matrices must be finite"),
-        (lambda: cost_general_lsl(_instance(5, 4, 1.0, seed=1)[0], CriterionReduction.identity(3)),
+        (lambda: CriterionReduction.identity(3).apply(_instance(5, 4, 1.0, seed=1)[0]),
          "reduction expects ambient dimensions (3, 3), instance has (4, 4)"),
     ],
     ids=[
@@ -566,14 +566,69 @@ def test_criterion_input_is_checked(build, message):
 
 # ------------------------------------------------------------- general LSL
 
+def _general_lsl_reference(instance, reduction):
+    """General LSL's costs as one function: the spec that cost_lsl of CriterionReduction.apply matches bit for bit."""
+    B = reduction.B
+    first_t = (instance.first.vectors - reduction.b) @ reduction.V.T
+    second_t = (instance.second.vectors - reduction.b_sharp) @ reduction.V_sharp.T
+    M = B @ np.linalg.pinv(B.T @ B) @ B.T + B @ B.T
+    M_pinv = np.linalg.pinv(M)
+    lhs = first_t @ M_pinv.T
+    rhs = (second_t @ B.T) @ M_pinv.T
+    return np.log(np.maximum(pairwise_sqdist(rhs, lhs), 1e-30))
+
+
 def test_general_lsl_identity_reduction_matches_lsl():
     inst, _ = _instance(6, 4, 1.0, seed=12)
     red = CriterionReduction.identity(4)
-    general = cost_general_lsl(inst, red)
+    general = cost_lsl(red.apply(inst))
     plain = cost_lsl(inst)
     # the transform halves all distances: log(x/4) = log x - log 4
     np.testing.assert_allclose(general.entries, plain.entries - math.log(4.0), rtol=1e-9, atol=1e-9)
-    assert estimate(inst, EstimatorKind.general_lsl(red)) == estimate(inst, LSL)
+    assert estimate(red.apply(inst), LSL) == estimate(inst, LSL)
+
+
+@pytest.mark.parametrize("n, m, d", [(6, 6, 4), (5, 9, 7), (1, 3, 2), (40, 40, 40)])
+def test_identity_reduction_quarters_the_distances(n, m, d):
+    # M = 2I halves every feature exactly, so each squared distance is a
+    # quarter of the instance's, bit for bit, and every estimator agrees
+    rng = np.random.default_rng(n * m + d)
+    inst = _manual_instance(rng.normal(size=(m, d)), rng.normal(size=(n, d)))
+    reduced = CriterionReduction.identity(d).apply(inst)
+    assert reduced.sqdist.tobytes() == (inst.sqdist / 4).tobytes()
+    for kind in (GREEDY, LSS, LSL):
+        assert estimate(reduced, kind) == estimate(inst, kind)
+
+
+def test_reduction_keeps_the_truth_and_drops_the_noise_specs():
+    inst, truth = _instance(5, 3, 1.0, seed=8)
+    reduced = reduce_criterion(np.eye(3), 2 * np.eye(3)).apply(inst)
+    assert reduced.truth is truth
+    assert reduced.first_noise is None and reduced.second_noise is None
+
+
+def _gain_reduction(d):
+    gains = np.geomspace(0.2, 5.0, d)
+    return reduce_criterion(np.eye(d), np.diag(gains))
+
+
+def _rank_deficient_reduction(d):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, 2)) @ rng.normal(size=(2, d))  # rank 2
+    A_sharp = A @ np.diag(np.geomspace(0.5, 2.0, d))
+    return reduce_criterion(A, A_sharp, b=rng.normal(size=d), b_sharp=rng.normal(size=d))
+
+
+@pytest.mark.parametrize("build", [_gain_reduction, _rank_deficient_reduction], ids=["gain", "rank-deficient"])
+@pytest.mark.parametrize("n, m", [(7, 7), (5, 9)])
+def test_general_lsl_on_a_non_orthonormal_b_is_its_reference(build, n, m):
+    d = 6
+    red = build(d)
+    rng = np.random.default_rng(n + m)
+    inst = _manual_instance(rng.normal(size=(m, d)) * 3.0, rng.normal(size=(n, d)) * 3.0)
+    reference = _general_lsl_reference(inst, red)
+    assert cost_lsl(red.apply(inst)).entries.tobytes() == reference.tobytes()
+    assert estimate(red.apply(inst), LSL) == solve_hungarian(CostMatrix(reference)).assignment
 
 
 def test_general_lsl_orthogonal_b_halves_residual():
@@ -582,7 +637,7 @@ def test_general_lsl_orthogonal_b_halves_residual():
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     red = CriterionReduction(B=q, V=np.eye(d), V_sharp=np.eye(d), b=np.zeros(d), b_sharp=np.zeros(d))
     inst, _ = _instance(5, d, 0.7, seed=13)
-    entries = cost_general_lsl(inst, red).entries
+    entries = cost_lsl(red.apply(inst)).entries
     for i in range(5):
         for j in range(5):
             residual = inst.first.vectors[j] - q @ inst.second.vectors[i]
@@ -600,26 +655,26 @@ def test_general_lsl_illumination_invariance_hits_floor():
     inst = _manual_instance(base, second)
     centering = np.eye(d) - np.ones((d, d)) / d
     red = reduce_criterion(centering, centering)
-    entries = cost_general_lsl(inst, red).entries
+    entries = cost_lsl(red.apply(inst)).entries
     for i in range(4):
         assert entries[i, i] == pytest.approx(math.log(1e-30))
-    assert estimate(inst, EstimatorKind.general_lsl(red)) == Permutation.identity(4)
+    assert estimate(red.apply(inst), LSL) == Permutation.identity(4)
 
 
 def test_general_lsl_overflow_is_named():
     inst = _manual_instance([[0.0], [1e200]], [[0.0], [-1e200]])
-    kind = EstimatorKind.general_lsl(reduce_criterion(np.eye(1), np.eye(1)))
+    reduced = reduce_criterion(np.eye(1), np.eye(1)).apply(inst)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="squared distances overflow float64"):
-            estimate(inst, kind)
+            estimate(reduced, LSL)
 
 
 def test_estimator_kind_validation():
     with pytest.raises(ValueError):
         EstimatorKind("nearest")
     with pytest.raises(ValueError):
-        EstimatorKind("general-lsl")  # reduction missing
+        EstimatorKind("general-lsl")  # a criterion reduction maps instances; it is no estimator
     with pytest.raises(ValueError):
         EstimatorKind.from_name("general-lsl")
     assert EstimatorKind.from_name(" LSS ").tag == "lss"

@@ -15,7 +15,6 @@ from permatch import (
     loss_01,
     loss_hamming,
     run_experiment,
-    reduce_criterion,
     trial_separation,
 )
 from permatch.harness import read_summary_csv
@@ -77,8 +76,6 @@ def test_config_validation():
         (dict(scenario="identity-heteroscedastic", n=8, d=8, high_count=9), "high_count must be in (0, n], got 9"),
         (dict(scenario="threshold-check", sweep=(0.0, 1.0)),
          "threshold-check sweep values are threshold multiples and must be positive"),
-        (dict(estimators=(EstimatorKind.general_lsl(reduce_criterion(np.eye(1), np.eye(1))),)),
-         "general-lsl is not configurable through experiment configs"),
     ],
 )
 def test_config_rejects_out_of_range_values(overrides, message):
@@ -100,7 +97,7 @@ def test_run_experiment_deterministic():
 
 
 def test_distance_matrix_built_once_per_instance(monkeypatch):
-    from permatch import estimators, model
+    from permatch import model
 
     calls = []
     kernel = model.pairwise_sqdist
@@ -110,7 +107,6 @@ def test_distance_matrix_built_once_per_instance(monkeypatch):
         return kernel(second, first)
 
     monkeypatch.setattr(model, "pairwise_sqdist", counting)
-    monkeypatch.setattr(estimators, "pairwise_sqdist", counting)
     kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl"))
     config = _config(estimators=kinds)
     records = run_experiment(config)
