@@ -37,16 +37,23 @@ Lockstep: a search step costs a few microseconds of numpy call overhead on
 rows of a few hundred entries, so ``solve_in_lockstep`` runs the searches
 of a batch of same-shape matrices together, one step of every matrix per
 round on (lanes, m) arrays; a matrix whose search ends starts its next
-leftover row at once, so no round waits for the longest search.  Each matrix gets
-exactly the arithmetic of its sequential solve, so assignments and
-potentials are bit for bit ``solve_hungarian``'s.  A round makes about
-four times the numpy calls of a step, so the lockstep pays only on a deep
-stack.  Its time over the sequential time on sweep costs (LSS and LSL of
-the same instances, 2-CPU VM) was 1.26 at 8 matrices of 50 x 50 (mixed
-tau), 0.95 at 10, 0.74 at 16 and 0.53 at 40; 1.27 at 10 matrices of
-100 x 100 (d = 2000), 1.02 at 16 and 0.56 at 40; 0.63 at 16 matrices of
-200 x 200 at tau = 1.4 and 0.99 at tau = 2.4.  So batches of fewer than
-``_LOCKSTEP_MIN`` = 16 are left to ``solve_hungarian``.  The caller forms
+leftover row at once, so no round waits for the longest search.  Each
+matrix gets exactly the arithmetic of its sequential solve, so assignments
+and potentials are bit for bit ``solve_hungarian``'s.  A round makes about
+19 numpy calls, against a step's four, so the lockstep pays only on a deep
+stack.  Its calls are ndarray methods and ufuncs (``a.take``, ``a.put``,
+``a.nonzero()``, ``a[a.argmin()]``), because numpy's function wrappers
+(``np.take``, ``np.put``, ``np.flatnonzero``, ``a.min()``) cost ~1-2 us a
+call here, up to three times the method's time on a round's arrays;
+``_augment`` does the same.  The lockstep's time over the sequential time
+on sweep costs (LSS and LSL of the same instances; 2-CPU VM, median of
+three scans, each the minimum of 7 to 21 repetitions) was 0.84 at 8
+matrices of 50 x 50 (mixed tau), 0.83 at 10, 0.61 at 16 and 0.49 at 40;
+0.89 at 10 matrices of 100 x 100 (d = 2000), 0.60 at 16 and 0.51 at 40;
+0.56 at 16 matrices of 200 x 200 at tau = 1.4 and 1.13 at tau = 2.4.
+Batches of fewer than ``_LOCKSTEP_MIN`` = 16 are left to
+``solve_hungarian``, a cutoff set by an earlier scan in which the lockstep
+lost at 8 and 10 matrices of 50 x 50 (1.26 and 0.95).  The caller forms
 the batches (``permatch.estimators.solve_together``); the lockstep holds
 each matrix three times, as the matrix, its slice of the stack and its
 search history.  Its lane arrays shrink as matrices finish, so it
@@ -89,8 +96,8 @@ __all__ = [
 
 _BRUTEFORCE_MAX_N = 9
 _BRUTEFORCE_MAX_COUNT = 2_000_000
-# Fewest matrices solve_in_lockstep runs as one stack, from the depth scan
-# in the module docstring.
+# Fewest matrices solve_in_lockstep runs as one stack; see the depth scan in
+# the module docstring.
 _LOCKSTEP_MIN = 16
 
 
@@ -187,22 +194,23 @@ def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, tree) 
     """
     tree[0] = start
     u[start] += low
+    k = step + 1
     if step:  # a one-step search scanned its free column at length low: nothing else moves
-        k = step + 1
-        np.take(row_of, scanned[:step], out=tree[1:k], mode="clip")
+        row_of.take(scanned[:step], out=tree[1:k], mode="clip")
         # lows <= low, so v only falls; never-scanned (unmatched) columns keep v = 0
         settle = np.subtract(low, lows[:k], out=lows[:k])
         np.subtract.at(v, scanned[:k], settle)
         np.add.at(u, tree[1:k], settle[:step])
+    columns, rows = scanned[:k].tolist(), tree[:k].tolist()
     while step >= 0:  # flip the path back, from the free column to start
-        j = scanned[step]
+        j = columns[step]
         # j's predecessor is the first row that reached it at its final
         # length: the first minimum of its history up to its scan (step 0
         # had only start), taken on the strided column in one call
         k = int(hist[: step + 1, j].argmin()) if step else 0
-        row_of[j] = tree[k]
-        col_of[tree[k]] = j
-        step = k - 1  # tree[k] was reached through the column scanned at step k - 1
+        row_of[j] = rows[k]
+        col_of[rows[k]] = j
+        step = k - 1  # rows[k] was reached through the column scanned at step k - 1
 
 
 def _keep(cost: CostMatrix, u: np.ndarray, v: np.ndarray, col_of: np.ndarray) -> AssignmentSolution:
@@ -311,31 +319,32 @@ def solve_in_lockstep(costs) -> None:
     columns = lane_matrix * m  # flat index of each lane's matrix's column 0
     cur = base + np.array(starts, dtype=np.int64)  # flat index of the row each lane expands
     at = base.copy()  # flat history row of each lane's next step
+    ones = np.ones_like(at)  # at's per-round step, added without a scalar cast
     low = np.zeros(len(matrix))
     tent = np.full((len(matrix), m), np.inf)
     v_masked = v[lane_matrix]
     reduced = np.empty_like(tent)
     lane_cells = np.arange(0, len(matrix) * m, m)  # flat index of each lane's row in tent
     while matrix:
-        np.take(flat_costs, cur, axis=0, out=reduced, mode="clip")
+        flat_costs.take(cur, axis=0, out=reduced, mode="clip")
         reduced -= v_masked
         reduced += (low - flat_u.take(cur))[:, None]
         np.minimum(tent, reduced, out=tent)
         j = tent.argmin(axis=1)
         cells = lane_cells + j
         low = tent.take(cells)
-        np.put(tent, cells, np.inf)
-        np.put(v_masked, cells, -np.inf)
+        tent.put(cells, np.inf)
+        v_masked.put(cells, -np.inf)
         hist[at] = reduced
-        np.put(scanned, at, j)
-        np.put(lows, at, low)
+        scanned.put(at, j)
+        lows.put(at, low)
         nxt = flat_row_of.take(columns + j)
         cur = base + nxt
-        at += 1
-        if nxt.min() >= 0:
+        at += ones
+        if nxt[nxt.argmin()] >= 0:
             continue
         retired = []
-        for lane in np.flatnonzero(nxt < 0).tolist():
+        for lane in (nxt < 0).nonzero()[0].tolist():
             b = matrix[lane]
             _augment(*views[b], starts[lane], low[lane], int(at[lane]) - b * n - 1, tree)
             if not pending[b]:
@@ -355,7 +364,7 @@ def solve_in_lockstep(costs) -> None:
             base, columns, cur, at, low, tent, v_masked = (
                 a[keep] for a in (base, columns, cur, at, low, tent, v_masked)
             )
-            reduced, lane_cells = reduced[: len(matrix)], lane_cells[: len(matrix)]
+            reduced, lane_cells, ones = (a[: len(matrix)] for a in (reduced, lane_cells, ones))
     for b, cost in enumerate(costs):
         _keep(cost, u[b], v[b], col_of[b])
 

@@ -353,6 +353,11 @@ def _lockstep_stacks():
     # every row's cheapest column is its own, so the start places every row
     yield "no-search", [np.eye(9)[rng.permutation(9)] * -1.0 + rng.random((9, 9)) * 0.5 for _ in range(16)]
     yield "ties-8x8", [rng.integers(0, 4, size=(8, 8)).astype(float) for _ in range(30)]
+    # one matrix 16 times, every row's cheapest column the same, so 9 rows
+    # search: every lane steps in unison and all retire in the same round
+    shared = rng.random((10, 10))
+    shared[:, 3] -= 1.0
+    yield "unison-10x10", [shared] * 16
 
 
 @pytest.mark.parametrize("name", [name for name, _ in _lockstep_stacks()])
@@ -369,6 +374,8 @@ def test_lockstep_solutions_equal_solve_hungarian_bit_for_bit(name):
     if name == "no-search":
         assert all(entries.argmin(axis=1).tolist() == cost._solution.assignment.map.tolist()
                    for entries, cost in zip(stack, costs))
+    if name == "unison-10x10":
+        assert (stack[0].argmin(axis=1) == 3).all()
 
 
 def test_lockstep_leaves_a_shallow_batch_to_solve_hungarian():
