@@ -45,15 +45,17 @@ stack.  Its calls are ndarray methods and ufuncs (``a.take``, ``a.put``,
 ``a.nonzero()``, ``a[a.argmin()]``), because numpy's function wrappers
 (``np.take``, ``np.put``, ``np.flatnonzero``, ``a.min()``) cost ~1-2 us a
 call here, up to three times the method's time on a round's arrays;
-``_augment`` does the same.  The lockstep's time over the sequential time
-on sweep costs (LSS and LSL of the same instances; 2-CPU VM, median of
-three scans, each the minimum of 7 to 21 repetitions) was 0.84 at 8
-matrices of 50 x 50 (mixed tau), 0.83 at 10, 0.61 at 16 and 0.49 at 40;
-0.89 at 10 matrices of 100 x 100 (d = 2000), 0.60 at 16 and 0.51 at 40;
-0.56 at 16 matrices of 200 x 200 at tau = 1.4 and 1.13 at tau = 2.4.
-Batches of fewer than ``_LOCKSTEP_MIN`` = 16 are left to
-``solve_hungarian``, a cutoff set by an earlier scan in which the lockstep
-lost at 8 and 10 matrices of 50 x 50 (1.26 and 0.95).  The caller forms
+``_augment`` does the same.  The time of one ``solve_in_lockstep`` call,
+fresh stack and history included, over ``solve_hungarian``'s on each of
+the same sweep costs (LSS and LSL of the same instances; 2-CPU VM,
+median of three scans, each the minimum of 15 repetitions) was, at 4, 6,
+8, 10 and 16 matrices: 1.11, 0.84, 0.79, 0.79 and 0.57 at 50 x 50 (mixed
+tau); 1.08, 0.98, 0.98, 0.99 and 0.63 at 100 x 100 (d = 2000); 1.05,
+0.82, 0.72, 0.63 and 0.54 at 200 x 200 (tau = 1.4); and 1.05, 0.97,
+0.91, 0.88 and 1.14 at 200 x 200 (tau = 2.4), where searches are short.
+Batches of fewer than ``_LOCKSTEP_MIN`` = 6, the shallowest depth scanned
+at which the lockstep won on every shape, are left to
+``solve_hungarian``.  The caller forms
 the batches (``permatch.estimators.solve_together``); the lockstep holds
 each matrix three times, as the matrix, its slice of the stack and its
 search history.  Its lane arrays shrink as matrices finish, so it
@@ -98,7 +100,7 @@ _BRUTEFORCE_MAX_N = 9
 _BRUTEFORCE_MAX_COUNT = 2_000_000
 # Fewest matrices solve_in_lockstep runs as one stack; see the depth scan in
 # the module docstring.
-_LOCKSTEP_MIN = 16
+_LOCKSTEP_MIN = 6
 
 
 @dataclass(frozen=True, eq=False)

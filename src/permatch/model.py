@@ -28,10 +28,12 @@ numpy calls, not a few per row, and no step allocates a block, so the kernel's
 speed does not depend on the state of the process's heap.
 The second buffer holds each second-set block repeated across a first-set
 block, so every subtraction runs over contiguous operands in one long
-inner loop.  Each block's squared norms are one ``np.vecdot`` pass, a BLAS
-dot per entry; a dot longer than ``_DOT_SEGMENT`` (8192) elements is split
-into segments added in index order, so the bits depend on the BLAS core
-kernel but not on its thread count.
+inner loop.  A block takes several second-set rows, so each read of a
+first-set block serves all of them.  Each block's squared norms are one
+``np.vecdot`` pass, a BLAS dot per entry; a dot longer than
+``_DOT_SEGMENT`` (8192) elements is split into segments added in index
+order, so the bits depend on the BLAS core kernel but not on its thread
+count.
 ``MatchInstance.sqdist`` holds its result for an instance, computed on
 first use and then shared by every estimator run on that instance.
 """
@@ -86,14 +88,27 @@ def standard_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
     Using an explicit transform of ``rng.random()`` pins the exact output
     stream to the PCG64 uniform stream, independent of how the installed
-    numpy implements its own normal sampler.
+    numpy implements its own normal sampler.  The first half of the output
+    is ``r * cos(2 pi u2)`` and the second ``r * sin(2 pi u2)``, with
+    ``r = sqrt(-2 log(1 - u1))``.  Each step runs in place, so a call
+    allocates its output and two half-length buffers, not a new array per
+    step: at (100, 2000) each such array is 800 KB, which glibc may map
+    fresh and fault in page by page.  The steps and their operands are
+    those of the allocating form, so the bits are too.
     """
     size = int(np.prod(shape))
     half = (size + 1) // 2
-    u1 = 1.0 - rng.random(half)  # (0, 1]: keeps the log finite
-    u2 = rng.random(half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    r = rng.random(half)
+    np.subtract(1.0, r, out=r)  # (0, 1]: keeps the log finite
+    np.log(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    angle = rng.random(half)
+    np.multiply(2.0 * np.pi, angle, out=angle)
+    z = np.empty(2 * half)
+    cos, sin = z[:half], z[half:]
+    np.multiply(r, np.cos(angle, out=cos), out=cos)
+    np.multiply(r, np.sin(angle, out=sin), out=sin)
     return z[:size].reshape(shape)
 
 
@@ -242,6 +257,24 @@ _SQDIST_BLOCK = 2**15
 # Longest dot of pairwise_sqdist: OpenBLAS splits a dot of more than 10**4
 # elements across its threads, and the split changes the sum's bits.
 _DOT_SEGMENT = 8192
+# Second-set rows of a pairwise_sqdist block when the first set spans
+# several blocks; from a scan of 1, 2, 4 and 8 (see pairwise_sqdist).
+_SQDIST_ROWS = 4
+
+
+def _sqdist_blocks(n: int, m: int, d: int) -> tuple[int, int]:
+    """(second-set rows, first-set rows) of one pairwise_sqdist block.
+
+    The whole first set if it fits, with as many second-set rows as fit
+    beside it; otherwise ``_SQDIST_ROWS`` second-set rows (fewer above
+    d = 2^13) and as many first-set rows as fit.  A block never holds more
+    than ``max(_SQDIST_BLOCK, d)`` elements.
+    """
+    fstep = max(1, min(m, _SQDIST_BLOCK // d))
+    if fstep == m:
+        return max(1, min(n, _SQDIST_BLOCK // (m * d))), m
+    sstep = max(1, min(n, _SQDIST_ROWS, _SQDIST_BLOCK // d))
+    return sstep, max(1, min(m, _SQDIST_BLOCK // (sstep * d)))
 
 
 def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -262,7 +295,15 @@ def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     first-set row; subtracting from the tile runs over contiguous operands
     in one loop of the whole block, ~1.4x faster per element at d = 128.
     Subtraction is exact elementwise, so the loop shape does not change a
-    bit.  Each entry is then one ``np.vecdot`` of its difference with
+    bit.  When the first set spans several blocks, a block takes four
+    second-set rows (``_SQDIST_ROWS``) and a quarter as many first-set
+    rows, so each first-set block is read, and the tile filled, once for
+    four rows rather than once per row.  In a scan of 1, 2, 4 and 8 rows
+    (2-CPU VM, median of 9), four took 0.83x the one-row time at
+    100 x 100 x 2000, 0.86x at 200^3 and 0.97x at 800 x 1000 x 128; eight
+    was slower than one on three of the four shapes.  Above d = 2^13 the
+    rows are capped so a block still holds at most d elements.  Each entry
+    is then one ``np.vecdot`` of its difference with
     itself, a BLAS dot of the same nonnegative squares: bit-equal to
     ``np.vecdot(first[j] - second[i], first[j] - second[i])`` whatever the
     block shape.  Its bits depend on the BLAS core kernel, but not on the
@@ -273,14 +314,15 @@ def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     """
     (n, d), m = second.shape, first.shape[0]
     out = np.empty((n, m))
-    fstep = max(1, min(m, _SQDIST_BLOCK // d))
-    sstep = max(1, min(n, _SQDIST_BLOCK // (fstep * d)))
+    sstep, fstep = _sqdist_blocks(n, m, d)
     buf, tile = np.empty((2, sstep, fstep, d))
     firsts, diffs = first[None], buf
-    if sstep > 1:
+    if fstep == m:
         # The whole first set is one block: repeat it once into buf and take
         # the differences in the tile, so that no subtraction broadcasts (a
         # broadcasting ufunc allocates iterator buffers on every call).
+        # Otherwise each first-set block is broadcast across the block's
+        # second-set rows: repeating it would be a copy per step.
         firsts, diffs = buf, tile
         np.copyto(buf, first[None])
     with np.errstate(over="ignore"):
@@ -372,10 +414,14 @@ def generate_instance(
     if truth.codomain != n:
         raise ValueError(f"truth permutation codomain {truth.codomain} != n = {n}")
     rng = np.random.default_rng(seed)
-    xi = standard_gaussian(rng, (n, d))
-    xi_sharp = standard_gaussian(rng, (truth.n, d))
-    first = theta.vectors + levels[:, None] * xi
-    second = theta.vectors[truth.map] + levels[truth.map][:, None] * xi_sharp
+    first = standard_gaussian(rng, (n, d))
+    second = standard_gaussian(rng, (truth.n, d))
+    # theta + level * xi, computed in the noise buffers; a sum's bits do not
+    # depend on the order of its two terms
+    np.multiply(levels[:, None], first, out=first)
+    first += theta.vectors
+    np.multiply(levels[truth.map][:, None], second, out=second)
+    second += theta.vectors[truth.map]
     return MatchInstance(
         first=FeatureSet(first),
         second=FeatureSet(second),

@@ -25,6 +25,7 @@ from permatch import (
     read_features_csv,
     scaled_identity_features,
     separation,
+    standard_gaussian,
     uniform_box_features,
     write_features_csv,
 )
@@ -169,6 +170,55 @@ def test_generate_instance_gaussian_moments():
     sample = inst.first.vectors[:, 0]
     assert abs(sample.mean()) <= 4 / math.sqrt(n)
     assert abs(sample.var() - 1.0) <= 0.2
+
+
+def _gaussian_per_step(rng, shape):
+    """standard_gaussian's spec: Box-Muller with a new array per step."""
+    size = int(np.prod(shape))
+    half = (size + 1) // 2
+    u1 = 1.0 - rng.random(half)
+    u2 = rng.random(half)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    return z[:size].reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7, 3), (4, 4), (5, 1, 3), (100, 2000)])
+def test_standard_gaussian_is_byte_equal_to_the_per_step_formula(shape):
+    for seed in (0, 9):
+        got = standard_gaussian(np.random.default_rng(seed), shape)
+        want = _gaussian_per_step(np.random.default_rng(seed), shape)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(100, 2000), (2001,)])
+def test_standard_gaussian_allocates_only_its_output_and_two_half_buffers(shape):
+    half = (int(np.prod(shape)) + 1) // 2
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        standard_gaussian(rng, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an output of 2 * half floats, r and the angle; the 4 KiB covers
+    # Python objects, not a temporary of a half
+    assert peak <= (2 * half + 2 * half) * 8 + 4096
+
+
+def test_generate_instance_is_byte_equal_to_templates_plus_scaled_noise():
+    theta = uniform_box_features(9, 40, 1.4, seed=5)
+    truth = Permutation([4, 0, 8, 2, 6, 1], codomain=9)
+    noise = NoiseSpec.heteroscedastic(np.linspace(0.3, 2.1, 9))
+    inst = generate_instance(theta, noise, truth, seed=8)
+    rng = np.random.default_rng(8)
+    xi, xi_sharp = standard_gaussian(rng, (9, 40)), standard_gaussian(rng, (6, 40))
+    levels = noise.levels_for(9)
+    first = theta.vectors + levels[:, None] * xi
+    second = theta.vectors[truth.map] + levels[truth.map][:, None] * xi_sharp
+    assert inst.first.vectors.tobytes() == first.tobytes()
+    assert inst.second.vectors.tobytes() == second.tobytes()
 
 
 def test_generate_instance_enforces_level_pairing():
@@ -386,35 +436,45 @@ def test_match_instance_sqdist_is_read_only_and_cached():
 
 
 def _sqdist_per_row(second, first):
-    """pairwise_sqdist's spec: each entry one np.vecdot of its difference with itself."""
+    """pairwise_sqdist's spec: each entry one np.vecdot of its difference with
+    itself, or above _DOT_SEGMENT elements the dots of its segments added in
+    index order."""
     out = np.empty((second.shape[0], first.shape[0]))
+    seg = model._DOT_SEGMENT
     with np.errstate(over="ignore"):
         for i, row in enumerate(second):
             diff = first - row
-            out[i] = np.vecdot(diff, diff)
+            out[i] = np.vecdot(diff[:, :seg], diff[:, :seg])
+            for k in range(seg, diff.shape[1], seg):
+                out[i] += np.vecdot(diff[:, k : k + seg], diff[:, k : k + seg])
     return out
 
 
 @pytest.mark.parametrize(
     "n, m, d",
     [
-        (50, 50, 50),  # second-set blocks of 13, 13, 13 and 11 rows
-        (50, 47, 50),  # the same with a 47-row first-set block
-        (200, 200, 200),
-        (100, 100, 2000),  # first-set blocks of 16 rows, one second-set row each
-        (800, 1000, 128),
+        (50, 50, 50),  # the whole first set, with second-set blocks of 13, 13, 13 and 11 rows
+        (50, 47, 50),  # the same with a 47-row first set
+        (200, 200, 200),  # blocks of 4 second-set rows by 40 first-set rows
+        (100, 100, 2000),  # blocks of 4 by 4
+        (800, 1000, 128),  # blocks of 4 by 64, the last first-set block of 40
         (40, 33, 1),  # one block
-        (300, 5000, 7),  # first-set blocks of 4681 rows and 319
-        (50, 300, 8),  # second-set blocks of 13 rows, the last of 11
-        (70, 3700, 9),  # first-set blocks of 3640 rows and 60
-        (30, 600, 129),  # first-set blocks of 254, 254 and 92 rows
+        (300, 5000, 7),  # blocks of 4 by 1170, the last first-set block of 320
+        (50, 300, 8),  # the whole first set, with second-set blocks of 13 rows, the last of 11
+        (70, 3700, 9),  # blocks of 4 by 910, the last first-set block of 60
+        (30, 600, 129),  # blocks of 4 by 63, the last of 2 second-set rows by 33 first-set rows
         (1, 250, 300),  # one second-set row; first-set blocks of 109, 109 and 32 rows
         (1, 10, 8),
+        (7, 45, 2000),  # blocks of 4 by 4: ragged on both sides (3 second-set rows, 1 first-set row)
+        (9, 1001, 128),  # blocks of 4 by 64: the last of 1 second-set row by 41 first-set rows
+        (7, 5, 9000),  # blocks of 3 by 1 (d > 2**13 caps the rows); two dot segments
+        (5, 3, 20001),  # one row a side per block (d > _SQDIST_BLOCK); three dot segments
     ],
 )
 def test_pairwise_sqdist_is_hex_equal_to_a_per_row_loop(n, m, d):
-    # A second-set block holds more than one row only when the whole first
-    # set fits in one block, so blocks are ragged on one side at a time.
+    # When the whole first set fits in one block it is repeated once for a
+    # block of second-set rows; otherwise each block pairs a few second-set
+    # rows with a block of first-set rows, and either side can be ragged.
     rng = np.random.default_rng(n * m + d)
     second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
     assert pairwise_sqdist(second, first).tobytes() == _sqdist_per_row(second, first).tobytes()
@@ -453,14 +513,17 @@ def test_pairwise_sqdist_bits_do_not_depend_on_the_blas_thread_count():
     assert pairwise_sqdist(second, first).tobytes().hex() == child.stdout.strip()
 
 
-@pytest.mark.parametrize("n, m, d", [(800, 1000, 128), (100, 100, 2000), (50, 50, 50)])
+@pytest.mark.parametrize(
+    "n, m, d",
+    [(800, 1000, 128), (100, 100, 2000), (200, 200, 200), (50, 50, 50), (7, 5, 9000), (5, 3, 20001)],
+)
 def test_pairwise_sqdist_allocates_only_its_output_and_buffers(n, m, d):
     rng = np.random.default_rng(d)
     second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    sstep, fstep = model._sqdist_blocks(n, m, d)
+    assert sstep * fstep * d <= max(model._SQDIST_BLOCK, d)
     # the kernel's buffer pair; the 4 KiB below covers the Python objects of
     # its views, not a temporary the size of a block or of the output
-    fstep = max(1, min(m, model._SQDIST_BLOCK // d))
-    sstep = max(1, min(n, model._SQDIST_BLOCK // (fstep * d)))
     buffers = 2 * sstep * fstep * d * 8
     tracemalloc.start()
     try:
