@@ -55,7 +55,9 @@ distinct costs to ``solve_in_lockstep``, which keeps each solution with its
 cost, and, when the kinds include greedy, runs greedy on the batch's
 stacked distance matrices, one ``argmin`` per row for all of them, keeping
 each map with its instance; the held instances are then yielded, before
-the next one is drawn.  Every result still passes through ``estimate``:
+the next one is taken from the stream (``run_experiment``'s stream may
+have drawn it already; see the ``permatch.harness`` module docstring,
+*Draws*).  Every result still passes through ``estimate``:
 a kept solution through ``solve_hungarian``, which returns it without
 solving again, and a kept greedy map through ``estimate_greedy``, which
 builds its Permutation.  So the results are those of one instance at a

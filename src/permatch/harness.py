@@ -13,6 +13,37 @@ and estimates each (instance, estimator) in record order; the
 ``permatch.estimators`` module docstring (*Solve-ahead*) says what is solved
 ahead and why the records equal those of one instance at a time.
 
+Draws
+-----
+Trial 0 is drawn on the calling thread.  If its two feature matrices hold
+at least ``_PREFETCH_MIN`` floats (two 100 x 500 matrices), every later
+trial is drawn one ahead on a single worker thread: while the caller builds
+trial t's distances and costs, solves and scores it, the worker runs
+``_build_trial`` for trial t + 1 (templates, truth and noise) and nothing
+else.  A draw is mostly scalar libm work (``log``, ``cos``, ``sin``) and the
+distance kernel streams through L2, and numpy releases the GIL in both, so
+on two cores they overlap.  Each trial's streams are its own, so every
+record and output byte is that of an inline run.  A draw that raises does
+so when its trial is reached, with the same exception; the worker is
+joined when the run returns or raises.  Smaller draws stay inline, on
+the calling thread: there the hand-off costs more than it hides.  The gate
+reads the drawn instance rather than ``config.n`` because
+greedy-adversarial draws 2 x d whatever n says.
+
+The gate comes from a scan of ``run_experiment`` with the worker forced on
+and off, uniform-homoscedastic, all four estimators, 4 trials per sweep
+value, after 30-40 s of load (a shared 2-vCPU VM hands out its second
+core only under sustained load).  Time with the worker over time without,
+per repeat, in two scans of 5 and 9 repeats:
+
+- 50 x 50: 1.04-1.34 and 0.97-1.26 (inline wins)
+- 100 x 100: 0.85-0.97 and 0.87-1.01
+- 200 x 200: 0.84-0.90 and 0.80-1.03
+- 100 x 500: 0.78-0.82 and 0.66-0.84
+- 100 x 2000: 0.61-0.64 and 0.66-0.71
+
+100 x 500 is the smallest size at which the worker won on every repeat.
+
 Scenarios
 ---------
 Each scenario's trials read scenario, sweep, trials, seed, estimators and
@@ -78,6 +109,11 @@ _SCENARIO_SPECS = {
 }
 SWEEP_LABELS = {scenario: label for scenario, (label, _) in _SCENARIO_SPECS.items()}
 SCENARIOS = tuple(SWEEP_LABELS)
+
+# Trials whose two feature matrices hold at least this many floats (two
+# 100 x 500 matrices) are drawn one ahead on a worker thread; see the module
+# docstring, *Draws*.
+_PREFETCH_MIN = 100_000
 
 # How a trial's random streams derive from (config seed, sweep index, trial
 # index); a run manifest records this name.
@@ -222,29 +258,59 @@ def trial_separation(config: ExperimentConfig, sweep_index: int, trial: int) -> 
     return separation(theta, noise)
 
 
+def _draws(config: ExperimentConfig, cells):
+    """Each cell's instance, in order; wide draws run one trial ahead on a worker thread.
+
+    See the module docstring, *Draws*.  Closing the generator joins the
+    worker.
+    """
+    builds = (
+        functools.partial(_build_trial, config, value, _trial_streams(config.seed, index, trial))
+        for index, value, trial in cells
+    )
+    instance = next(builds)()
+    if instance.first.vectors.size + instance.second.vectors.size < _PREFETCH_MIN:
+        yield instance
+        for build in builds:
+            yield build()
+        return
+    from concurrent.futures import ThreadPoolExecutor  # ~5 ms to import, so only wide runs do
+
+    with ThreadPoolExecutor(1) as worker:
+        for build in builds:
+            ahead = worker.submit(build)
+            yield instance
+            instance = ahead.result()
+        yield instance
+
+
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run every (sweep value, trial, estimator) cell and collect records.
 
-    Trials are drawn in order through ``solve_together`` and each
-    (instance, estimator) is estimated in record order; see the
-    ``permatch.estimators`` module docstring, *Solve-ahead*.
+    Trials are drawn in order (see the module docstring, *Draws*) through
+    ``solve_together`` and each (instance, estimator) is estimated in
+    record order; see the ``permatch.estimators`` module docstring,
+    *Solve-ahead*.
     """
     cells = [(index, float(value), trial) for index, value in enumerate(config.sweep) for trial in range(config.trials)]
-    draws = (_build_trial(config, value, _trial_streams(config.seed, index, trial)) for index, value, trial in cells)
+    draws = _draws(config, cells)
     records: list[TrialRecord] = []
-    for (index, value, trial), instance in zip(cells, solve_together(draws, config.estimators)):
-        for kind in config.estimators:
-            estimated = estimate(instance, kind)
-            records.append(
-                TrialRecord(
-                    sweep_value=value,
-                    estimator=kind.tag,
-                    seed=config.seed,
-                    global_index=index * config.trials + trial,
-                    loss_01=loss_01(estimated, instance.truth),
-                    loss_hamming=loss_hamming(estimated, instance.truth),
+    try:
+        for (index, value, trial), instance in zip(cells, solve_together(draws, config.estimators)):
+            for kind in config.estimators:
+                estimated = estimate(instance, kind)
+                records.append(
+                    TrialRecord(
+                        sweep_value=value,
+                        estimator=kind.tag,
+                        seed=config.seed,
+                        global_index=index * config.trials + trial,
+                        loss_01=loss_01(estimated, instance.truth),
+                        loss_hamming=loss_hamming(estimated, instance.truth),
+                    )
                 )
-            )
+    finally:
+        draws.close()  # a raise leaves the generator referenced from its traceback
     return records
 
 

@@ -1,4 +1,9 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -229,16 +234,17 @@ def _greedy_stack_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize(
-    "scenario, overrides",
-    [
-        ("uniform-homoscedastic", {}),
-        ("identity-heteroscedastic", dict(d=8)),
-        ("threshold-check", {}),
-        ("greedy-adversarial", dict(d=404, sweep=(2.0, 2.5))),
-        ("custom", dict(sigma_levels=(0.5, 1.0, 1.5, 2.0) * 2)),  # LSNS's own costs join the stack
-    ],
-)
+# One small config override per scenario.
+_SCENARIO_CASES = [
+    ("uniform-homoscedastic", {}),
+    ("identity-heteroscedastic", dict(d=8)),
+    ("threshold-check", {}),
+    ("greedy-adversarial", dict(d=404, sweep=(2.0, 2.5))),
+    ("custom", dict(sigma_levels=(0.5, 1.0, 1.5, 2.0) * 2)),  # LSNS's own costs join the stack
+]
+
+
+@pytest.mark.parametrize("scenario, overrides", _SCENARIO_CASES)
 def test_records_equal_one_instance_at_a_time(scenario, overrides, monkeypatch):
     sizes = _lockstep_stack_sizes(monkeypatch)
     greedy = _greedy_stack_sizes(monkeypatch)
@@ -336,6 +342,118 @@ def test_records_carry_seed_and_global_index():
     per_trial = len(config.estimators)
     assert [rec.global_index for rec in records[::per_trial]] == list(range(len(config.sweep) * config.trials))
     assert all(rec.seed == config.seed for rec in records)
+
+
+# ------------------------------------------------------ draws on a worker thread
+
+_INLINE = 2**62  # a _PREFETCH_MIN no draw reaches
+
+
+@pytest.mark.parametrize("scenario, overrides", _SCENARIO_CASES)
+def test_draws_on_the_worker_give_the_inline_records_and_bytes(scenario, overrides, monkeypatch, tmp_path):
+    from permatch import harness
+
+    config = _config(scenario=scenario, estimators=_ALL_KINDS, trials=4, **overrides)
+    threads = []  # the thread each draw ran on
+    build = harness._build_trial
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return build(*args)
+
+    monkeypatch.setattr(harness, "_build_trial", recorded)
+    outputs = []
+    for gate in (_INLINE, 0):
+        threads.clear()
+        monkeypatch.setattr(harness, "_PREFETCH_MIN", gate)
+        records = run_experiment(config)
+        emit(aggregate(records), tmp_path / "summary.csv")
+        outputs.append((records, (tmp_path / "summary.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    # with the gate at 0, trial 0 is drawn here and every later trial on one worker
+    main = threading.get_ident()
+    assert threads[0] == main
+    assert len(set(threads[1:])) == 1 and main not in threads[1:]
+    assert len(threads) == len(config.sweep) * config.trials
+
+
+def _outcome(config):
+    """(records, or the raised exception's type and message; the threads alive after the run).
+
+    On a raise the threads are listed while the exception, whose traceback
+    holds the run's frames, is still alive, as a caller that keeps it would.
+    """
+    try:
+        return run_experiment(config), threading.enumerate()
+    except Exception as exc:
+        return (type(exc), str(exc)), threading.enumerate()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # sigma * xi overflows in every draw, trial 0's included
+        dict(scenario="custom", sigma=1e308),
+        # trials at the second sweep value get non-finite templates: the
+        # first raising draw is trial 2, which the worker draws
+        dict(scenario="threshold-check", sweep=(1.0, 1e307), trials=2),
+    ],
+)
+def test_a_raising_draw_raises_the_same_on_both_paths(overrides, monkeypatch):
+    from permatch import harness
+
+    config = _config(**overrides)
+    before = threading.enumerate()
+    outcomes = []
+    for gate in (_INLINE, 0):
+        monkeypatch.setattr(harness, "_PREFETCH_MIN", gate)
+        outcomes.append(_outcome(config))
+    assert isinstance(outcomes[0][0], tuple)  # it raised
+    assert outcomes[0] == outcomes[1] == (outcomes[0][0], before)
+
+
+def test_no_draw_thread_outlives_a_run(monkeypatch):
+    from permatch import estimators, harness
+
+    monkeypatch.setattr(harness, "_PREFETCH_MIN", 0)
+    monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)  # one instance per batch: each raise below is mid-run
+    config = _config(trials=4)
+    before = threading.enumerate()
+    assert _outcome(config) == (run_experiment(config), before)
+
+    def fail(*args):
+        raise RuntimeError("solve failed")
+
+    # a raise inside solve_together, and one in the loop over its instances
+    for module, name in ((estimators, "solve_in_lockstep"), (harness, "estimate")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fail)
+            assert _outcome(config) == ((RuntimeError, "solve failed"), before)
+
+
+def test_a_desk_run_starts_no_thread(monkeypatch):
+    from permatch import harness
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    config = _config(n=50, d=50, trials=2)
+    run_experiment(config)
+    monkeypatch.setattr(harness, "_PREFETCH_MIN", 0)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        run_experiment(config)
+
+
+def test_import_does_not_load_the_thread_pool():
+    # concurrent.futures costs milliseconds to import; only a wide run needs it
+    from permatch import harness
+
+    src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+    code = "import sys, permatch; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "False"
 
 
 def test_threshold_check_scenario_pins_relative_separation():
