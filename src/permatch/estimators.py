@@ -35,9 +35,13 @@ The estimators:
   templates coincide, provided levels differ.
 
 A linear matching criterion A(x - b) = A#(x# - b#) is not an estimator of
-its own: ``reduce_criterion`` builds its ``CriterionReduction``, whose
-``apply`` maps an instance into the criterion's comparison space, and any
-estimator runs on the result.  General LSL is LSL on it.
+its own.  ``reduce_criterion``, its one constructor, builds a
+``CriterionReduction``: two affine maps, one per side, whose ``apply``
+maps an instance into the criterion's comparison space, and any estimator
+runs on the result.  The model is LSL's, one noise level sigma per matched
+pair: after the reduction x̄ = V(x - b), x̄# = V#(x# - b#), a pair's
+residual x̄ - B x̄# has covariance sigma^2 (I + B B^T), and the maps whiten
+it with (I + B B^T)^{-1/2}.  So general LSL is LSL on the reduced instance.
 
 Solve-ahead
 -----------
@@ -100,79 +104,31 @@ __all__ = [
 DEFAULT_SQDIST_FLOOR = 1e-30
 
 _SVD_RANK_RTOL = 1e-10  # relative to the largest singular value
-_ORTHONORMAL_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class CriterionReduction:
-    """Pre-transforms reducing a linear matching criterion to x̄ = B x̄#.
+    """A linear matching criterion as two affine maps; ``reduce_criterion`` builds it.
 
-    ``V`` and ``V_sharp`` have orthonormal rows and map raw features (minus
-    the offsets ``b``/``b_sharp``) into the criterion's comparison spaces;
-    ``B`` relates the two sides there.  Orthonormal rows keep the
-    transformed noise white.  ``apply`` maps an instance through the
-    reduction, and every estimator runs on the result.
+    ``apply`` maps first-set features x to (x - b) @ first_map and
+    second-set features x# to (x# - b_sharp) @ second_map.
     """
 
-    B: np.ndarray
-    V: np.ndarray
-    V_sharp: np.ndarray
+    first_map: np.ndarray
+    second_map: np.ndarray
     b: np.ndarray
     b_sharp: np.ndarray
 
-    def __post_init__(self):
-        B = np.array(self.B, dtype=float, copy=True)
-        V = np.array(self.V, dtype=float, copy=True)
-        Vs = np.array(self.V_sharp, dtype=float, copy=True)
-        if B.ndim != 2 or V.ndim != 2 or Vs.ndim != 2:
-            raise ValueError("B, V and V_sharp must be matrices")
-        if B.shape != (V.shape[0], Vs.shape[0]):
-            raise ValueError(
-                f"B must be {V.shape[0]} x {Vs.shape[0]} to match the row spaces, got {B.shape}"
-            )
-        for name, mat in (("V", V), ("V_sharp", Vs)):
-            gram = mat @ mat.T
-            if not np.allclose(gram, np.eye(mat.shape[0]), atol=_ORTHONORMAL_ATOL):
-                raise ValueError(f"{name} must have orthonormal rows")
-        b = np.array(self.b, dtype=float, copy=True).reshape(-1)
-        bs = np.array(self.b_sharp, dtype=float, copy=True).reshape(-1)
-        if b.size != V.shape[1] or bs.size != Vs.shape[1]:
-            raise ValueError("offset lengths must match the ambient dimension")
-        for name, arr in (("B", B), ("V", V), ("V_sharp", Vs), ("b", b), ("b_sharp", bs)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def identity(cls, d: int) -> "CriterionReduction":
-        eye = np.eye(d)
-        zero = np.zeros(d)
-        return cls(B=eye, V=eye, V_sharp=eye, b=zero, b_sharp=zero)
-
     def apply(self, instance: MatchInstance) -> MatchInstance:
-        """The instance in the criterion's comparison space; it keeps the truth and has no noise specs.
-
-        Transforms both sides (x̄ = V(x - b), x̄# = V#(x# - b#)), forms
-        M = B(B^T B)^+ B^T + B B^T, and returns first features M^+ x̄_j and
-        second features M^+ B x̄#_i, so a pair's squared distance is
-        ||M^+ (x̄_j - B x̄#_i)||^2 and LSL on the result is general LSL.  For
-        orthogonal B, M = 2I and M^+ halves the residual, a pure rescaling
-        of the transformed features.
-        """
-        if self.V.shape[1] != instance.first.d or self.V_sharp.shape[1] != instance.second.d:
+        """The instance in the criterion's whitened comparison space; it keeps the truth and has no noise specs."""
+        if self.first_map.shape[0] != instance.first.d or self.second_map.shape[0] != instance.second.d:
             raise ValueError(
-                f"reduction expects ambient dimensions ({self.V.shape[1]}, "
-                f"{self.V_sharp.shape[1]}), instance has ({instance.first.d}, {instance.second.d})"
+                f"reduction expects ambient dimensions ({self.first_map.shape[0]}, "
+                f"{self.second_map.shape[0]}), instance has ({instance.first.d}, {instance.second.d})"
             )
-        B = self.B
-        first_t = (instance.first.vectors - self.b) @ self.V.T
-        second_t = (instance.second.vectors - self.b_sharp) @ self.V_sharp.T
-        M = B @ np.linalg.pinv(B.T @ B) @ B.T + B @ B.T
-        M_pinv = np.linalg.pinv(M)
         return MatchInstance(
-            first=FeatureSet(first_t @ M_pinv.T),
-            second=FeatureSet((second_t @ B.T) @ M_pinv.T),
+            first=FeatureSet((instance.first.vectors - self.b) @ self.first_map),
+            second=FeatureSet((instance.second.vectors - self.b_sharp) @ self.second_map),
             truth=instance.truth,
         )
 
@@ -230,12 +186,22 @@ def cost_lsl(instance: MatchInstance) -> CostMatrix:
 
 
 def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
-    """Reduce the criterion A(x - b) = A#(x# - b#) to comparison form.
+    """Reduce the criterion A(x - b) = A#(x# - b#) to two affine maps, built once.
 
     Thin SVDs A = U^T Lambda V and A# = U#^T Lambda# V# (singular values
     below 1e-10 of the largest are treated as zero) give row-orthonormal V,
     V# and B = Lambda^{-1} U U#^T Lambda#, so that features transformed by
     x̄ = V(x - b), x̄# = V#(x# - b#) match exactly when x̄ = B x̄#.
+
+    The model is LSL's: a matched pair's noise is white with one level
+    sigma on both sides, so its residual r = x̄ - B x̄# has covariance
+    sigma^2 (I + B B^T).  That matrix is symmetric positive definite for
+    every B, rank-deficient ones included, so W = (I + B B^T)^{-1/2} comes
+    from one ``eigh`` with no special case, and the maps
+    are first_map = V^T W and second_map = V#^T B^T W (row features).  A
+    pair's squared distance after ``apply`` is then r^T (I + B B^T)^{-1} r,
+    its residual is white, and LSL on the reduced instance is LSL's profile
+    likelihood for the criterion.  With orthonormal B, W = I / sqrt(2).
     """
     A = np.asarray(A, dtype=float)
     A_sharp = np.asarray(A_sharp, dtype=float)
@@ -245,8 +211,12 @@ def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
         raise ValueError(f"A and A_sharp must share their row count, got {A.shape[0]} vs {A_sharp.shape[0]}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(A_sharp))):
         raise ValueError("criterion matrices must be finite")
-    b = np.zeros(A.shape[1]) if b is None else np.asarray(b, dtype=float).reshape(-1)
-    b_sharp = np.zeros(A_sharp.shape[1]) if b_sharp is None else np.asarray(b_sharp, dtype=float).reshape(-1)
+    b = np.zeros(A.shape[1]) if b is None else np.array(b, dtype=float).reshape(-1)
+    b_sharp = np.zeros(A_sharp.shape[1]) if b_sharp is None else np.array(b_sharp, dtype=float).reshape(-1)
+    if b.size != A.shape[1] or b_sharp.size != A_sharp.shape[1]:
+        raise ValueError("offset lengths must match the ambient dimension")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(b_sharp))):
+        raise ValueError("criterion offsets must be finite")
 
     def thin(mat):
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -258,8 +228,17 @@ def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
 
     u1, s1, v1 = thin(A)
     u2, s2, v2 = thin(A_sharp)
-    B = (u1.T @ u2) * s2[None, :] / s1[:, None]
-    return CriterionReduction(B=B, V=v1, V_sharp=v2, b=b, b_sharp=b_sharp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = (u1.T @ u2) * s2[None, :] / s1[:, None]
+        cov = np.eye(s1.size) + B @ B.T
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("criterion overflows float64: A_sharp's singular values are too large against A's")
+    evals, evecs = np.linalg.eigh(cov)
+    W = (evecs / np.sqrt(evals)) @ evecs.T
+    fields = (v1.T @ W, v2.T @ (B.T @ W), b, b_sharp)
+    for arr in fields:
+        arr.setflags(write=False)
+    return CriterionReduction(*fields)
 
 
 def _greedy_rows(stack: np.ndarray) -> np.ndarray:
@@ -267,14 +246,19 @@ def _greedy_rows(stack: np.ndarray) -> np.ndarray:
 
     In each of the B instances, each row in index order takes its smallest
     untaken column; ties go to the lowest index.  Row i of all B instances
-    is one ``argmin``.  ``stack`` is overwritten: a taken column becomes
-    +inf in the rows below.
+    is one ``argmin`` of the row plus a (B, n1) mask that holds 0 on the
+    untaken columns and +inf on the taken ones, so an untaken score is read
+    as it is (x + 0 = x) and ``stack`` is left unchanged.
     """
-    lanes = np.arange(stack.shape[0])
+    count, _, width = stack.shape
+    taken_mask = np.zeros((count, width))
+    # taken columns are written through a flat view: cheaper than a (lane, column) index
+    flat_mask, starts = taken_mask.reshape(-1), np.arange(0, count * width, width)
+    row = np.empty_like(taken_mask)
     maps = np.empty(stack.shape[1::-1], dtype=np.intp)  # row i of every instance, contiguous
     for i, taken in enumerate(maps):
-        stack[:, i].argmin(axis=1, out=taken)
-        stack[lanes, i + 1 :, taken] = np.inf
+        np.add(stack[:, i], taken_mask, out=row).argmin(axis=1, out=taken)
+        flat_mask[starts + taken] = np.inf
     return maps.T
 
 

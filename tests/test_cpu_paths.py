@@ -5,6 +5,8 @@ kernels by CPU, so intermediate draws and distances may differ in their last
 bits from one path to another.  The summaries and match outputs must not.
 Each child process below reruns the pinned outputs of test_cli.py on one
 other path, and every output is compared byte for byte with its pin.
+Tests whose values are not pins but rest on rounding, such as the criterion
+reductions', are rerun as a whole file under OpenBLAS's Haswell kernels.
 """
 
 import json
@@ -13,6 +15,7 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from permatch import ESTIMATOR_NAMES
@@ -30,6 +33,9 @@ for args in json.loads(sys.argv[1]):
 """
 
 
+_HASWELL = bool(__cpu_features__.get("X86_V3"))  # Haswell's kernels need AVX2 and FMA
+
+
 def _other_paths():
     """{label: environment} for every numpy dispatch level below this CPU's, and one OpenBLAS core."""
     targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]  # lowest first
@@ -37,7 +43,7 @@ def _other_paths():
         f"numpy {'baseline' if k == 0 else targets[k - 1]} loops": {"NPY_DISABLE_CPU_FEATURES": " ".join(targets[k:])}
         for k in range(len(targets))
     }
-    if __cpu_features__.get("X86_V3"):  # Haswell's kernels need AVX2 and FMA
+    if _HASWELL:
         paths["OpenBLAS Haswell kernels"] = {"OPENBLAS_CORETYPE": "Haswell"}
     return paths
 
@@ -88,3 +94,11 @@ def test_pinned_outputs_are_byte_identical_on_other_cpu_paths(tmp_path):
             if got != want:
                 moved.append(f"{label}: {pin.name} {_first_difference(got, want)}")
     assert not moved, "\n".join(moved)
+
+
+@pytest.mark.skipif(not _HASWELL, reason="OpenBLAS's Haswell kernels need AVX2 and FMA")
+def test_estimator_tests_pass_on_openblas_haswell_kernels():
+    env = dict(os.environ, PYTHONPATH=str(_TESTS.parent / "src"), OPENBLAS_CORETYPE="Haswell")
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(_TESTS / "test_estimators.py")]
+    child = subprocess.run(args, env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]

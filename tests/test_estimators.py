@@ -12,7 +12,6 @@ from permatch import (
     LSS,
     VARIANCE_GREEDY,
     AssignmentSolution,
-    CriterionReduction,
     CostMatrix,
     EstimatorKind,
     ExperimentConfig,
@@ -28,6 +27,7 @@ from permatch import (
     estimate_greedy,
     estimate_variance_greedy,
     generate_instance,
+    loss_hamming,
     pairwise_sqdist,
     random_permutation,
     reduce_criterion,
@@ -249,8 +249,6 @@ def test_lsns_result_reused_from_lss_is_certified_for_lsns_costs(first_sigma, se
 def test_lss_lsl_positionwise_agreement_at_benign_operating_point():
     # where the error curves are flat and near zero, the squared and log
     # objectives pick (almost) the same matches
-    from permatch import loss_hamming
-
     trials = 200
     disagreement = 0.0
     for t in range(trials):
@@ -495,30 +493,35 @@ def test_variance_greedy_matches_sequential_oracle():
 # -------------------------------------------------------- criterion reduction
 
 def test_reduce_criterion_identity():
+    # B = I, so W = (2I)^{-1/2} and both maps are I / sqrt(2), up to the SVD's signs
     red = reduce_criterion(np.eye(4), np.eye(4))
-    np.testing.assert_allclose(red.B, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(np.abs(red.V @ red.V_sharp.T), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(red.first_map @ red.first_map.T, np.eye(4) / 2, atol=1e-12)
+    np.testing.assert_allclose(red.second_map, red.first_map, atol=1e-12)
 
 
 def test_reduce_criterion_centering_matrix():
     d = 6
     centering = np.eye(d) - np.ones((d, d)) / d  # removes the per-feature mean
     red = reduce_criterion(centering, centering)
-    assert red.B.shape == (d - 1, d - 1)
-    np.testing.assert_allclose(red.B @ red.B.T, np.eye(d - 1), atol=1e-9)
-    np.testing.assert_allclose(red.V @ red.V.T, np.eye(d - 1), atol=1e-10)
+    assert red.first_map.shape == red.second_map.shape == (d, d - 1)
+    np.testing.assert_allclose(red.first_map.T @ red.first_map, np.eye(d - 1) / 2, atol=1e-10)
+    np.testing.assert_allclose(red.second_map, red.first_map, atol=1e-10)
+    np.testing.assert_allclose(np.ones(d) @ red.first_map, 0.0, atol=1e-12)
 
 
 def test_block_rotation_reduction_is_norm_preserving():
+    # the criterion x = R x#: both maps scale norms by 1/sqrt(2), and a matched pair maps to one point
     d = 5
     angle = 0.7
     rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-    B = np.block([[np.eye(d - 2), np.zeros((d - 2, 2))], [np.zeros((2, d - 2)), rotation]])
-    red = CriterionReduction(B=B, V=np.eye(d), V_sharp=np.eye(d), b=np.zeros(d), b_sharp=np.zeros(d))
+    R = np.block([[np.eye(d - 2), np.zeros((d - 2, 2))], [np.zeros((2, d - 2)), rotation]])
+    red = reduce_criterion(np.eye(d), R)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=d)
-        assert np.linalg.norm(red.B @ x) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        assert np.linalg.norm(x @ red.first_map) == pytest.approx(np.linalg.norm(x) / math.sqrt(2), rel=1e-12)
+        assert np.linalg.norm(x @ red.second_map) == pytest.approx(np.linalg.norm(x) / math.sqrt(2), rel=1e-12)
+        np.testing.assert_allclose((x @ R.T) @ red.first_map, x @ red.second_map, atol=1e-12)
 
 
 def test_reduce_criterion_rank_zero_rejected():
@@ -526,36 +529,23 @@ def test_reduce_criterion_rank_zero_rejected():
         reduce_criterion(np.zeros((3, 3)), np.eye(3))
 
 
-def test_criterion_reduction_validates_rows():
-    with pytest.raises(ValueError):
-        CriterionReduction(
-            B=np.eye(2), V=np.array([[1.0, 1.0], [0.0, 1.0]]), V_sharp=np.eye(2),
-            b=np.zeros(2), b_sharp=np.zeros(2),
-        )
-
-
-def _reduction(**fields):
-    """The identity reduction in R^2 with some fields replaced."""
-    base = dict(B=np.eye(2), V=np.eye(2), V_sharp=np.eye(2), b=np.zeros(2), b_sharp=np.zeros(2))
-    return CriterionReduction(**{**base, **fields})
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: _reduction(B=np.ones(2)), "B, V and V_sharp must be matrices"),
-        (lambda: _reduction(B=np.eye(3)), "B must be 2 x 2 to match the row spaces, got (3, 3)"),
-        (lambda: _reduction(b=np.zeros(3)), "offset lengths must match the ambient dimension"),
-        (lambda: _reduction(B=[[np.nan, 0.0], [0.0, 1.0]]), "B contains non-finite entries"),
+        (lambda: reduce_criterion(np.eye(2), np.eye(2), b=np.zeros(3)),
+         "offset lengths must match the ambient dimension"),
         (lambda: reduce_criterion(np.ones(3), np.eye(3)), "A and A_sharp must be matrices"),
         (lambda: reduce_criterion(np.eye(2), np.eye(3)), "A and A_sharp must share their row count, got 2 vs 3"),
         (lambda: reduce_criterion(np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]), "criterion matrices must be finite"),
-        (lambda: CriterionReduction.identity(3).apply(_instance(5, 4, 1.0, seed=1)[0]),
+        (lambda: reduce_criterion(np.eye(2), np.eye(2), b_sharp=[0.0, np.nan]), "criterion offsets must be finite"),
+        (lambda: reduce_criterion(1e-300 * np.eye(2), np.eye(2)),
+         "criterion overflows float64: A_sharp's singular values are too large against A's"),
+        (lambda: reduce_criterion(np.eye(3), np.eye(3)).apply(_instance(5, 4, 1.0, seed=1)[0]),
          "reduction expects ambient dimensions (3, 3), instance has (4, 4)"),
     ],
     ids=[
-        "reduction-vector-B", "reduction-B-shape", "reduction-offset-length", "reduction-nan-B",
-        "criterion-vector", "criterion-row-counts", "criterion-inf", "general-lsl-dimension",
+        "reduction-offset-length", "criterion-vector", "criterion-row-counts", "criterion-inf",
+        "criterion-nan-offset", "criterion-overflow", "general-lsl-dimension",
     ],
 )
 def test_criterion_input_is_checked(build, message):
@@ -566,36 +556,41 @@ def test_criterion_input_is_checked(build, message):
 
 # ------------------------------------------------------------- general LSL
 
-def _general_lsl_reference(instance, reduction):
-    """General LSL's costs as one function: the spec that cost_lsl of CriterionReduction.apply matches bit for bit."""
-    B = reduction.B
-    first_t = (instance.first.vectors - reduction.b) @ reduction.V.T
-    second_t = (instance.second.vectors - reduction.b_sharp) @ reduction.V_sharp.T
-    M = B @ np.linalg.pinv(B.T @ B) @ B.T + B @ B.T
-    M_pinv = np.linalg.pinv(M)
-    lhs = first_t @ M_pinv.T
-    rhs = (second_t @ B.T) @ M_pinv.T
-    return np.log(np.maximum(pairwise_sqdist(rhs, lhs), 1e-30))
+def _general_lsl_reference(instance, A, A_sharp, b, b_sharp):
+    """General LSL's costs from its model, pair by pair: log(r^T (I + B B^T)^{-1} r) with r = x̄ - B x̄#."""
+
+    def thin(mat):
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        return u[:, :rank], s[:rank], vt[:rank]
+
+    (u1, s1, v1), (u2, s2, v2) = thin(A), thin(A_sharp)
+    B = np.diag(1 / s1) @ u1.T @ u2 @ np.diag(s2)
+    first_t = (instance.first.vectors - b) @ v1.T
+    second_t = (instance.second.vectors - b_sharp) @ v2.T @ B.T
+    r = first_t[None, :, :] - second_t[:, None, :]  # (second, first, k)
+    sqdist = np.einsum("ijk,kl,ijl->ij", r, np.linalg.inv(np.eye(len(s1)) + B @ B.T), r)
+    return np.log(np.maximum(sqdist, 1e-30))
 
 
 def test_general_lsl_identity_reduction_matches_lsl():
     inst, _ = _instance(6, 4, 1.0, seed=12)
-    red = CriterionReduction.identity(4)
+    red = reduce_criterion(np.eye(4), np.eye(4))
     general = cost_lsl(red.apply(inst))
     plain = cost_lsl(inst)
-    # the transform halves all distances: log(x/4) = log x - log 4
-    np.testing.assert_allclose(general.entries, plain.entries - math.log(4.0), rtol=1e-9, atol=1e-9)
+    # the residual's covariance is 2 sigma^2 I, so distances halve: log(x/2) = log x - log 2
+    np.testing.assert_allclose(general.entries, plain.entries - math.log(2.0), rtol=1e-9, atol=1e-9)
     assert estimate(red.apply(inst), LSL) == estimate(inst, LSL)
 
 
 @pytest.mark.parametrize("n, m, d", [(6, 6, 4), (5, 9, 7), (1, 3, 2), (40, 40, 40)])
-def test_identity_reduction_quarters_the_distances(n, m, d):
-    # M = 2I halves every feature exactly, so each squared distance is a
-    # quarter of the instance's, bit for bit, and every estimator agrees
+def test_identity_reduction_halves_the_distances(n, m, d):
+    # both maps are I / sqrt(2), so each squared distance is half the
+    # instance's, to rounding, and every estimator agrees
     rng = np.random.default_rng(n * m + d)
     inst = _manual_instance(rng.normal(size=(m, d)), rng.normal(size=(n, d)))
-    reduced = CriterionReduction.identity(d).apply(inst)
-    assert reduced.sqdist.tobytes() == (inst.sqdist / 4).tobytes()
+    reduced = reduce_criterion(np.eye(d), np.eye(d)).apply(inst)
+    np.testing.assert_allclose(reduced.sqdist, inst.sqdist / 2, rtol=1e-13)
     for kind in (GREEDY, LSS, LSL):
         assert estimate(reduced, kind) == estimate(inst, kind)
 
@@ -607,41 +602,59 @@ def test_reduction_keeps_the_truth_and_drops_the_noise_specs():
     assert reduced.first_noise is None and reduced.second_noise is None
 
 
-def _gain_reduction(d):
-    gains = np.geomspace(0.2, 5.0, d)
-    return reduce_criterion(np.eye(d), np.diag(gains))
+def _gain_criterion(d):
+    """(A, A_sharp, b, b_sharp) of x = diag(g) x#, gains g geometric from 0.2 to 5."""
+    return np.eye(d), np.diag(np.geomspace(0.2, 5.0, d)), np.zeros(d), np.zeros(d)
 
 
-def _rank_deficient_reduction(d):
+def _rank_deficient_criterion(d):
+    """(A, A_sharp, b, b_sharp) of a rank-2 criterion with offsets."""
     rng = np.random.default_rng(d)
     A = rng.normal(size=(d, 2)) @ rng.normal(size=(2, d))  # rank 2
     A_sharp = A @ np.diag(np.geomspace(0.5, 2.0, d))
-    return reduce_criterion(A, A_sharp, b=rng.normal(size=d), b_sharp=rng.normal(size=d))
+    return A, A_sharp, rng.normal(size=d), rng.normal(size=d)
 
 
-@pytest.mark.parametrize("build", [_gain_reduction, _rank_deficient_reduction], ids=["gain", "rank-deficient"])
+@pytest.mark.parametrize("criterion", [_gain_criterion, _rank_deficient_criterion], ids=["gain", "rank-deficient"])
 @pytest.mark.parametrize("n, m", [(7, 7), (5, 9)])
-def test_general_lsl_on_a_non_orthonormal_b_is_its_reference(build, n, m):
+def test_general_lsl_on_a_non_orthonormal_b_is_its_reference(criterion, n, m):
     d = 6
-    red = build(d)
+    args = criterion(d)
     rng = np.random.default_rng(n + m)
     inst = _manual_instance(rng.normal(size=(m, d)) * 3.0, rng.normal(size=(n, d)) * 3.0)
-    reference = _general_lsl_reference(inst, red)
-    assert cost_lsl(red.apply(inst)).entries.tobytes() == reference.tobytes()
-    assert estimate(red.apply(inst), LSL) == solve_hungarian(CostMatrix(reference)).assignment
+    reference = _general_lsl_reference(inst, *args)
+    reduced = reduce_criterion(*args).apply(inst)
+    np.testing.assert_allclose(cost_lsl(reduced).entries, reference, rtol=1e-9, atol=1e-9)
+    assert estimate(reduced, LSL) == solve_hungarian(CostMatrix(reference)).assignment
+
+
+@pytest.mark.parametrize("criterion, d", [(_gain_criterion, 20), (_rank_deficient_criterion, 6)],
+                         ids=["gain", "rank-deficient"])
+def test_reduced_residual_of_a_matched_pair_is_white(criterion, d):
+    # x = b + xi and x# = b# + xi# satisfy the criterion up to unit white
+    # noise on both sides; after the reduction the residual's covariance is I
+    # (the standard error of each empirical entry is about 0.01)
+    pairs = 20_000
+    A, A_sharp, b, b_sharp = criterion(d)
+    rng = np.random.default_rng(1)
+    inst = _manual_instance(b + rng.standard_normal((pairs, d)), b_sharp + rng.standard_normal((pairs, d)))
+    reduced = reduce_criterion(A, A_sharp, b, b_sharp).apply(inst)
+    residual = reduced.first.vectors - reduced.second.vectors
+    cov = residual.T @ residual / pairs
+    assert np.max(np.abs(cov - np.eye(cov.shape[0]))) <= 0.06
 
 
 def test_general_lsl_orthogonal_b_halves_residual():
     d = 4
     rng = np.random.default_rng(44)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    red = CriterionReduction(B=q, V=np.eye(d), V_sharp=np.eye(d), b=np.zeros(d), b_sharp=np.zeros(d))
+    red = reduce_criterion(np.eye(d), q)  # x = q x#
     inst, _ = _instance(5, d, 0.7, seed=13)
     entries = cost_lsl(red.apply(inst)).entries
     for i in range(5):
         for j in range(5):
             residual = inst.first.vectors[j] - q @ inst.second.vectors[i]
-            expected = math.log(max(0.25 * float(residual @ residual), 1e-30))
+            expected = math.log(max(0.5 * float(residual @ residual), 1e-30))
             assert entries[i, j] == pytest.approx(expected, rel=1e-9)
 
 
@@ -656,9 +669,39 @@ def test_general_lsl_illumination_invariance_hits_floor():
     centering = np.eye(d) - np.ones((d, d)) / d
     red = reduce_criterion(centering, centering)
     entries = cost_lsl(red.apply(inst)).entries
-    for i in range(4):
-        assert entries[i, i] == pytest.approx(math.log(1e-30))
+    # A matched pair's exact residual is 0; what is left is rounding, and its
+    # bits depend on the BLAS core kernel.  The maps come from an SVD and an
+    # eigh, both backward stable, so each is off its exact value by a modest
+    # multiple of d*u in norm (u = 2^-53; the maps' norms are at most 1), and
+    # applying a map rounds each entry by at most d*u*||x||.  So the residual
+    # is at most c*d*u*max||x|| for a small c; c = 64 is generous, and its
+    # square still lies at least 55 nats below every unmatched entry.
+    u = np.finfo(float).eps / 2
+    bound = 2 * math.log(64 * d * u * np.linalg.norm(np.vstack([base, second]), axis=1).max())
+    matched = np.eye(4, dtype=bool)
+    assert entries[matched].max() <= bound
+    assert entries[~matched].min() >= bound + 55
     assert estimate(red.apply(inst), LSL) == Permutation.identity(4)
+
+
+def test_general_lsl_beats_lsl_and_lss_under_per_feature_offsets():
+    # Fixed before the first run: n = d = 50, tau = 3.5, sigma = 1, 40
+    # trials, and every coordinate of second-set feature i shifted by one
+    # offset o_i ~ N(0, 3^2), which the centering criterion removes exactly.
+    n = d = 50
+    centering = np.eye(d) - np.ones((d, d)) / d
+    red = reduce_criterion(centering, centering)
+    errors = {"general-lsl": 0.0, "lsl": 0.0, "lss": 0.0}
+    for t in range(40):
+        theta = uniform_box_features(n, d, 3.5, seed=8000 + t)
+        truth = random_permutation(np.random.default_rng(9000 + t), n)
+        inst = generate_instance(theta, NoiseSpec.homoscedastic(1.0), truth, seed=10000 + t)
+        offsets = np.random.default_rng(11000 + t).normal(0.0, 3.0, size=(n, 1))
+        shifted = MatchInstance(first=inst.first, second=FeatureSet(inst.second.vectors + offsets), truth=truth)
+        errors["general-lsl"] += loss_hamming(estimate(red.apply(shifted), LSL), truth) / 40
+        errors["lsl"] += loss_hamming(estimate(shifted, LSL), truth) / 40
+        errors["lss"] += loss_hamming(estimate(shifted, LSS), truth) / 40
+    assert errors["general-lsl"] < errors["lsl"] and errors["general-lsl"] < errors["lss"], errors
 
 
 def test_general_lsl_overflow_is_named():
