@@ -70,7 +70,26 @@ most 1; the Birkhoff polytope when n = m) has the dual max sum(u) + sum(v)
 subject to u_i + v_j <= c_ij, and v_j <= 0 when n < m.  The solver keeps
 such potentials; ``certify`` checks dual feasibility and complementary
 slackness against them in O(n m), which proves the assignment optimal
-(Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009).
+(Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009, section
+4).  ``_keep`` certifies every distinct solve, sequential and lockstep
+alike, before it keeps the solution.  An exact cost goes to ``certify``,
+and a failure there is a solver bug, not bad input: it raises
+``CertificateError``.  A bounded cost (``CostMatrix.bound``, built on GEMM
+distances) is solved on its approximate entries c~, within bound E_i of the
+exact c on row i, and certified on exact entries instead:
+
+1. flag every entry whose reduced cost r~_ij = c~_ij - u_i - v_j is at most
+   2 E_i + |r~_i,sigma(i)|; the matched entries are among them;
+2. compute the flagged entries exactly (``CostMatrix.exact``);
+3. move each u_i so that its matched pair is tight on its exact entry, and
+   check r >= -tol on the flagged entries with ``certify``'s tol.
+
+An unflagged entry then has r_ij >= r~_ij - E_i - |r~_i,sigma(i)| - E_i > 0
+on the exact cost, up to the rounding of r~, far below tol.  So the
+solution, with the moved potentials and ``total_cost`` summed from the
+exact matched entries, is certified optimal for the exact cost.  If the
+check fails, the exact matrix is built and solved, and that solution is
+kept.
 
 Tie-breaking: the exhaustive solver returns the lexicographically smallest
 optimal assignment vector.  The augmenting-path solver is only guaranteed
@@ -80,6 +99,7 @@ to agree with it on generic (tie-free) inputs; on ties, compare costs.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,6 +114,7 @@ __all__ = [
     "solve_in_lockstep",
     "solve_bruteforce",
     "certify",
+    "CertificateError",
 ]
 
 _BRUTEFORCE_MAX_N = 9
@@ -101,6 +122,10 @@ _BRUTEFORCE_MAX_COUNT = 2_000_000
 # Fewest matrices solve_in_lockstep runs as one stack; see the depth scan in
 # the module docstring.
 _LOCKSTEP_MIN = 6
+
+
+class CertificateError(RuntimeError):
+    """A solution failed its optimality certificate: a solver bug, not bad input."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +136,17 @@ class CostMatrix:
     rejected here rather than silently propagated into the solvers.  The
     entries are read-only, so the solution ``solve_hungarian`` or
     ``solve_in_lockstep`` keeps with the matrix stays valid.
+
+    A bounded cost approximates an exact one: ``bound`` is an (n, 1) array
+    with |entries[i, j] - exact[i, j]| <= bound[i, 0] on every entry, and
+    ``exact(rows, cols)`` returns the exact entries at those index pairs,
+    or the whole exact matrix when called with no arguments.  Its solution
+    is certified on exact entries (see the module docstring, *Certificate*).
     """
 
     entries: np.ndarray
+    bound: np.ndarray | None = None
+    exact: Callable[..., np.ndarray] | None = field(default=None, repr=False)
     _solution: AssignmentSolution | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -126,6 +159,14 @@ class CostMatrix:
             raise ValueError("cost matrix contains non-finite entries")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+        if (self.bound is None) != (self.exact is None):
+            raise ValueError("a bounded cost needs both a bound and its exact entries")
+        if self.bound is not None:
+            bound = np.array(self.bound, dtype=float, copy=True)
+            if bound.shape != (e.shape[0], 1) or not 0.0 <= bound.min() <= bound.max() < np.inf:  # NaN fails
+                raise ValueError(f"bound must be finite, nonnegative and of shape ({e.shape[0]}, 1)")
+            bound.setflags(write=False)
+            object.__setattr__(self, "bound", bound)
 
     @property
     def n(self) -> int:
@@ -216,17 +257,71 @@ def _augment(hist, u, v, col_of, row_of, scanned, lows, start, low, step, tree) 
 
 
 def _keep(cost: CostMatrix, u: np.ndarray, v: np.ndarray, col_of: np.ndarray) -> AssignmentSolution:
-    """Store the solution with its (read-only) cost matrix and return it."""
+    """Certify the solution, store it with its (read-only) cost matrix and return it.
+
+    See the module docstring, *Certificate*: an exact cost that fails
+    ``certify`` raises CertificateError; a bounded cost that fails its
+    certificate keeps the solution of its exact matrix instead.
+    """
     u.setflags(write=False)
     v.setflags(write=False)
-    solution = AssignmentSolution(
-        assignment=Permutation(col_of, codomain=cost.m),
-        total_cost=_selected_sum(cost.entries, col_of),
-        row_potentials=u,
-        col_potentials=v,
-    )
+    if cost.bound is None:
+        solution = AssignmentSolution(
+            assignment=Permutation(col_of, codomain=cost.m),
+            total_cost=_selected_sum(cost.entries, col_of),
+            row_potentials=u,
+            col_potentials=v,
+        )
+        if not certify(cost, solution):
+            raise CertificateError(f"a {cost.n} x {cost.m} solution failed its optimality certificate")
+    else:
+        solution = _certified(cost, u, v, col_of) or solve_hungarian(CostMatrix(cost.exact()))
     object.__setattr__(cost, "_solution", solution)
     return solution
+
+
+def _tol(entries: np.ndarray) -> float:
+    """``certify``'s tolerance for a matrix: 1e-9 * max(1, max |c_ij|)."""
+    return 1e-9 * max(1.0, -float(entries.min()), float(entries.max()))
+
+
+def _certified(cost: CostMatrix, u: np.ndarray, v: np.ndarray, col_of: np.ndarray) -> AssignmentSolution | None:
+    """The bounded cost's solution certified on exact entries, or None if the certificate fails.
+
+    Steps 1-3 of the module docstring's *Certificate*.
+    """
+    entries, n, m = cost.entries, cost.n, cost.m
+    matched_at = np.arange(0, n * m, m) + col_of  # flat index of each row's matched entry
+    # r~_ij <= |r~_i,sigma(i)| + 2 E_i, tested as c~_ij - v_j <= reach_i, the
+    # right side plus u_i: one pass less over the matrix
+    reach = entries.take(matched_at) - u
+    reach -= v[col_of]
+    np.abs(reach, out=reach)
+    reach += 2.0 * cost.bound[:, 0]
+    reach += u
+    flagged = entries - v <= reach[:, None]
+    flagged.put(matched_at, True)  # flagged already, up to rounding
+    flat = flagged.reshape(-1).nonzero()[0]
+    rows, cols = np.divmod(flat, m)
+    exact = cost.exact(rows, cols)
+    matched = exact[flat.searchsorted(matched_at)]
+    moved = matched - v[col_of]
+    exact -= moved[rows]
+    exact -= v[cols]
+    lowest = exact.min()
+
+    def holds(tol: float) -> bool:
+        return lowest >= -tol and (n == m or _free_columns_hold(v, col_of, tol))
+
+    if not (holds(1e-9) or holds(_tol(entries))):  # certify's tol is at least 1e-9
+        return None
+    moved.setflags(write=False)
+    return AssignmentSolution(
+        assignment=Permutation(col_of, codomain=m),
+        total_cost=float(matched.sum()),
+        row_potentials=moved,
+        col_potentials=v,
+    )
 
 
 def solve_hungarian(cost: CostMatrix) -> AssignmentSolution:
@@ -424,12 +519,15 @@ def certify(cost: CostMatrix, solution: AssignmentSolution) -> bool:
             f"assignment do not fit a {n} x {m} cost matrix"
         )
     entries = cost.entries
-    tol = 1e-9 * max(1.0, float(np.abs(entries).max()))
+    tol = _tol(entries)
     reduced = entries - u[:, None] - v[None, :]
     if not (np.all(reduced >= -tol) and np.all(np.abs(reduced[np.arange(n), mapping]) <= tol)):
         return False
-    if n < m:
-        unmatched = np.ones(m, dtype=bool)
-        unmatched[mapping] = False
-        return bool(np.all(v <= tol) and np.all(np.abs(v[unmatched]) <= tol))
-    return True
+    return n == m or _free_columns_hold(v, mapping, tol)
+
+
+def _free_columns_hold(v: np.ndarray, mapping: np.ndarray, tol: float) -> bool:
+    """Checks 3 and 4 of ``certify``, for n < m: v_j <= tol on every column, |v_j| <= tol on every unmatched one."""
+    unmatched = np.ones(v.size, dtype=bool)
+    unmatched[mapping] = False
+    return bool(np.all(v <= tol) and np.all(np.abs(v[unmatched]) <= tol))

@@ -12,7 +12,8 @@ Subcommands:
 - ``rates``: print the separation rate, recovery thresholds, and the
   worst-case mismatch bound for given (sigma, n, d, alpha).
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error
+(a solution failed its optimality certificate: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import sys
 
 from . import harness, model, permgroup
+from .assignment import CertificateError
 from .estimators import ESTIMATOR_NAMES, EstimatorKind, estimate
 from .metrics import (
     minimax_separation_rate,
@@ -36,6 +38,7 @@ __all__ = ["main", "entrypoint", "parse_config_file", "config_from_mapping"]
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
 _EXIT_IO = 2
+_EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,6 +205,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return _EXIT_IO
+    except CertificateError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return _EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -8,9 +8,15 @@ assignment over such a matrix yields pi with pi(i) = the first-set index
 matched to the i-th second-set feature, which is exactly how a ground-truth
 permutation is stored on a MatchInstance.
 
-Every cost is a transform of one distance matrix, the instance's
-``sqdist`` (entry (i, j) = ||X_j - X#_i||^2), which is computed once per
-instance and shared by all estimators run on it.
+Every cost is a transform of one distance matrix (entry (i, j) =
+||X_j - X#_i||^2), computed once per instance and shared by all
+estimators run on it: the instance's ``bounded_sqdist``, GEMM distances
+within a per-row bound of the exact kernel's (``permatch.model``,
+*Distances*).  A cost carries that bound through its transform, so it
+is solved on fast entries and certified on exact ones
+(``permatch.assignment``, *Certificate*); greedy checks its margins
+against the bound.  Either falls back to the kernel's ``sqdist`` when
+its check fails.  So every result is the one the exact distances give.
 
 The estimators:
 
@@ -58,11 +64,14 @@ holds one shape), and at the end of the stream.  A flush hands the batch's
 distinct costs to ``solve_in_lockstep``, which keeps each solution with its
 cost, and, when the kinds include greedy, runs greedy on the batch's
 stacked distance matrices, one ``argmin`` per row for all of them, keeping
-each map with its instance; the held instances are then yielded, before
-the next one is taken from the stream (``run_experiment``'s stream may
-have drawn it already; see the ``permatch.harness`` module docstring,
-*Draws*).  Every result still passes through ``estimate``:
-a kept solution through ``solve_hungarian``, which returns it without
+each map with its instance.  Greedy runs on the GEMM distances, and one
+masked pass then checks that every row's pick beats the best column still
+free by more than twice the row's bound; an instance that fails on any row
+is run again on the kernel's ``sqdist``.  The held instances are then
+yielded, before the next one is taken from the stream
+(``run_experiment``'s stream may have drawn it already; see the
+``permatch.harness`` module docstring, *Draws*).  Every result still
+passes through ``estimate``: a kept solution through ``solve_hungarian``, which returns it without
 solving again, and a kept greedy map through ``estimate_greedy``, which
 builds its Permutation.  So the results are those of one instance at a
 time, and code that replaces either function, such as the benchmark's
@@ -76,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import CostMatrix, solve_hungarian, solve_in_lockstep
-from .model import FeatureSet, MatchInstance, Permutation
+from .model import FeatureSet, MatchInstance, Permutation, pairwise_sqdist, sqdist_entries
 
 __all__ = [
     "DEFAULT_SQDIST_FLOOR",
@@ -159,9 +168,43 @@ LSL = EstimatorKind("lsl")
 VARIANCE_GREEDY = EstimatorKind("variance-greedy")
 
 
+# Rounding of the two logs behind an LSL entry: each within 64 ulps of a
+# |log x| below 1024, whose ulp is at most 2^-43.
+_LOG_ROUNDING = 2.0**-36
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _cost(instance: MatchInstance, transform, row_bound) -> CostMatrix:
+    """The cost ``transform`` makes of the instance's distances.
+
+    ``transform(sq, rows, cols)`` maps the distances ``sq`` of second-set
+    rows ``rows`` and first-set columns ``cols`` to costs, elementwise:
+    index arrays of the entries, or, for a whole matrix, the indices of a
+    column of rows and of a row of columns.  On GEMM distances the
+    cost is bounded: ``row_bound(entries, distances)`` bounds each row's
+    distance from the transform of the kernel's distances, and the exact
+    entries are the transform of ``sqdist_entries``, or of the whole kernel.
+    The closure holds the feature arrays, not the instance, which keeps
+    the cost: a cycle would outlive the batch.
+    """
+    distances = instance.bounded_sqdist
+    everywhere = ((slice(None), None), slice(None))
+    entries = transform(distances.values, *everywhere)
+    if distances.bound is None:
+        return CostMatrix(entries)
+    second, first = instance.second.vectors, instance.first.vectors
+
+    def exact(rows=None, cols=None):
+        if rows is None:
+            return transform(pairwise_sqdist(second, first), *everywhere)
+        return transform(sqdist_entries(second, first, rows, cols), rows, cols)
+
+    return CostMatrix(entries, row_bound(entries, distances), exact)
+
+
 def cost_lss(instance: MatchInstance) -> CostMatrix:
     """Squared-distance costs: entry (i, j) = ||X_j - X#_i||^2."""
-    return CostMatrix(instance.sqdist)
+    return _cost(instance, lambda sq, rows, cols: sq, lambda entries, distances: distances.bound)
 
 
 def _instance_levels(instance: MatchInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -174,15 +217,38 @@ def _instance_levels(instance: MatchInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cost_lsns(instance: MatchInstance) -> CostMatrix:
-    """Noise-normalized costs: entry (i, j) = ||X_j - X#_i||^2 / (s_j^2 + s#_i^2)."""
+    """Noise-normalized costs: entry (i, j) = ||X_j - X#_i||^2 / (s_j^2 + s#_i^2).
+
+    Both sides divide by the same rounded divisor, so an entry errs by its
+    distance's error over the divisor plus the two quotients' rounding: per
+    row, the row's distance bound over its smallest divisor plus 4u times
+    its largest entry (u = 2^-53).
+    """
     first_levels, second_levels = _instance_levels(instance)
-    denom = first_levels[None, :] ** 2 + second_levels[:, None] ** 2
-    return CostMatrix(instance.sqdist / denom)
+    first_var, second_var = first_levels**2, second_levels**2
+    return _cost(
+        instance,
+        lambda sq, rows, cols: sq / (first_var[cols] + second_var[rows]),
+        lambda entries, distances: (
+            distances.bound / (first_var.min() + second_var[:, None])
+            + 4.0 * _UNIT_ROUNDOFF * entries.max(axis=1, keepdims=True)
+        ),
+    )
 
 
 def cost_lsl(instance: MatchInstance) -> CostMatrix:
-    """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, DEFAULT_SQDIST_FLOOR))."""
-    return CostMatrix(np.log(np.maximum(instance.sqdist, DEFAULT_SQDIST_FLOOR)))
+    """Log squared-distance costs: entry (i, j) = log(max(||X_j - X#_i||^2, DEFAULT_SQDIST_FLOOR)).
+
+    An entry left to the GEMM expansion is at least its row's low L_i, and
+    L_i exceeds 2^20 times the bound E_i (``permatch.model.gemm_sqdist``),
+    so neither it nor the kernel's value reaches the floor, and their logs
+    differ by at most -log1p(-E_i / L_i), plus the logs' own rounding.
+    """
+    return _cost(
+        instance,
+        lambda sq, rows, cols: np.log(np.maximum(sq, DEFAULT_SQDIST_FLOOR)),
+        lambda entries, distances: _LOG_ROUNDING - np.log1p(-distances.bound / distances.lows),
+    )
 
 
 def reduce_criterion(A, A_sharp, b=None, b_sharp=None) -> CriterionReduction:
@@ -267,16 +333,51 @@ def _greedy_rows(stack: np.ndarray) -> np.ndarray:
 _GREEDY_KEY = "_greedy"
 
 
+def _stacked(matrices) -> np.ndarray:
+    """Same-shape matrices as one (B, n2, n1) stack: a view of a lone matrix, a copy of several."""
+    return matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+
+
+def _greedy_margins_hold(stack: np.ndarray, maps: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per instance, whether every row's greedy pick beats each column still free by more than twice its bound.
+
+    ``maps`` are greedy's picks on the (B, n2, n1) ``stack``, whose row i
+    is within ``bounds[:, i]`` of the exact distances.  One masked pass: a
+    column is still free after row i's pick if no row up to i took it.
+    Where every margin holds, each pick's exact distance is below that of
+    every column still free, so greedy on the exact distances makes the
+    same picks, and no tie is left for its lowest-index rule.
+    """
+    count, rows, width = stack.shape
+    taken_at = np.full((count, width), rows)  # the row that took each column; rows if none did
+    np.put_along_axis(taken_at, maps, np.arange(rows)[None], axis=1)
+    free = taken_at[:, None, :] > np.arange(rows)[:, None]
+    runner_up = np.where(free, stack, np.inf).min(axis=2)
+    picked = np.take_along_axis(stack, maps[..., None], axis=2)[..., 0]
+    return (runner_up - picked > 2.0 * bounds[..., 0]).all(axis=1)
+
+
 def _keep_greedy(instances) -> None:
     """Run greedy on the same-shape instances as one stack, and keep each map with its instance.
 
-    The maps stay index rows until ``estimate_greedy`` builds a
-    Permutation.  Building the Permutations here, while the batch's buffers
-    are live, left a large free block under a live chunk of the heap after
-    every other homo-hd sweep, and the benchmark's calibration spin reads
-    that heap state (ROADMAP item 1).
+    Greedy runs on the GEMM distances; an instance whose margins fail
+    ``_greedy_margins_hold`` runs again on the kernel's distances (one
+    more stack for all such instances of the batch).  An instance whose
+    distances are the kernel's passes with a bound of -inf.  The maps stay
+    index rows until ``estimate_greedy`` builds a Permutation.  Building
+    the Permutations here, while the batch's buffers are live, left a large
+    free block under a live chunk of the heap after every other homo-hd
+    sweep, and the benchmark's calibration spin reads that heap state
+    (ROADMAP item 1).
     """
-    maps = _greedy_rows(np.stack([instance.sqdist for instance in instances]))
+    distances = [instance.bounded_sqdist for instance in instances]
+    stack = _stacked([d.values for d in distances])
+    maps = _greedy_rows(stack)
+    unbounded = np.full((stack.shape[1], 1), -np.inf)
+    bounds = np.stack([unbounded if d.bound is None else d.bound for d in distances])
+    redo = (~_greedy_margins_hold(stack, maps, bounds)).nonzero()[0]
+    if redo.size:
+        maps[redo] = _greedy_rows(_stacked([instances[b].sqdist for b in redo]))
     for instance, mapping in zip(instances, maps):
         instance.__dict__[_GREEDY_KEY] = mapping
 
@@ -318,7 +419,9 @@ def _one_level_per_side(instance: MatchInstance) -> bool:
 # Memory for the instances solve_together holds at once: their features,
 # distance matrices and distinct costs, each cost counted three times
 # because solve_in_lockstep stacks a copy and gives it a search history,
-# plus a copy of each distance matrix when greedy's stack is built.
+# plus one more copy of each distance matrix when greedy runs.  That copy
+# is its check's masked pass; a batch of several instances also stacks a
+# copy for greedy itself, after the lockstep has freed its two.
 _BATCH_BYTES = 32 * 2**20
 
 # Key in a MatchInstance's __dict__ under which _kept_cost keeps the
@@ -374,7 +477,7 @@ def solve_together(instances, kinds):
         size = (
             instance.first.vectors.nbytes
             + instance.second.vectors.nbytes
-            + (1 + greedy) * instance.sqdist.nbytes
+            + (1 + greedy) * instance.bounded_sqdist.values.nbytes
             + 3 * sum(cost.entries.nbytes for cost in kept)
         )
         held.append(instance)

@@ -21,8 +21,9 @@ trial is drawn one ahead on a single worker thread: while the caller builds
 trial t's distances and costs, solves and scores it, the worker runs
 ``_build_trial`` for trial t + 1 (templates, truth and noise) and nothing
 else.  A draw is mostly scalar libm work (``log``, ``cos``, ``sin``) and the
-distance kernel streams through L2, and numpy releases the GIL in both, so
-on two cores they overlap.  Each trial's streams are its own, so every
+distance build is BLAS work on the calling thread, and numpy releases the
+GIL in both, so on two cores they overlap.  The gate was scanned when the
+distances came from the exact kernel (``permatch.model``, *Distances*).  Each trial's streams are its own, so every
 record and output byte is that of an inline run.  A draw that raises does
 so when its trial is reached, with the same exception; the worker is
 joined when the run returns or raises.  Smaller draws stay inline, on

@@ -20,8 +20,7 @@ Conventions
 
 Distances
 ---------
-``pairwise_sqdist`` is the one feature-to-feature distance kernel: every
-estimator cost and the template separation are transforms of its output.
+``pairwise_sqdist`` is the one exact feature-to-feature distance kernel.
 It blocks both sets, up to ``_SQDIST_BLOCK`` differences per block, into
 two buffers from one allocation per call: a small instance takes a few
 numpy calls, not a few per row, and no step allocates a block, so the kernel's
@@ -33,8 +32,19 @@ first-set block serves all of them.  Each block's squared norms are one
 ``np.vecdot`` pass, a BLAS dot per entry; a dot longer than
 ``_DOT_SEGMENT`` (8192) elements is split into segments added in index
 order, so the bits depend on the BLAS core kernel but not on its thread
-count.
-``MatchInstance.sqdist`` holds its result for an instance, computed on
+count.  ``sqdist_entries`` computes the same bits at chosen entries only.
+
+The estimators do not wait for the kernel.  ``gemm_sqdist`` expands
+||a||^2 + ||b||^2 - 2<a, b> with one GEMM, an order of magnitude faster,
+and bounds each row's distance from the kernel's entries by the forward
+error of a dot product (Higham 2002, section 3.1); an entry whose bound is
+not small next to its value is recomputed by the kernel.  The GEMM runs in tiles below
+OpenBLAS's threading threshold, so it never wakes a BLAS helper thread.
+Costs solve on these values and prove the result on exact entries (the
+``permatch.estimators`` and ``permatch.assignment`` module docstrings).
+``MatchInstance.bounded_sqdist`` holds them for an instance, and
+``MatchInstance.sqdist``, the kernel's matrix, is computed only when read:
+by a fallback, variance-greedy or ``separation``.  Both are computed on
 first use and then shared by every estimator run on that instance.
 """
 
@@ -55,7 +65,10 @@ __all__ = [
     "Permutation",
     "MatchInstance",
     "HypothesisRangeWarning",
+    "BoundedSqdist",
     "pairwise_sqdist",
+    "sqdist_entries",
+    "gemm_sqdist",
     "standard_gaussian",
     "random_permutation",
     "generate_instance",
@@ -341,6 +354,141 @@ def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
+
+def sqdist_entries(second: np.ndarray, first: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``pairwise_sqdist(second, first)[rows, cols]`` bit for bit, computed at those entries only.
+
+    The differences ``first[cols] - second[rows]`` are gathered a block of
+    at most ``_SQDIST_BLOCK`` elements (or one entry, if d is larger) at a
+    time, and each entry is then the kernel's segmented ``np.vecdot``: the
+    same BLAS dot of the same differences.  Gathering all entries at once
+    would allocate k x d floats, 3 MB for 188 entries at d = 2000, and
+    freeing a block that large moves glibc's mmap threshold, which changes
+    how fast later large temporaries in the process are served.
+    """
+    d = second.shape[1]
+    step = max(1, _SQDIST_BLOCK // d)
+    out = np.empty(rows.size)
+    for k in range(0, rows.size, step):
+        diffs = first.take(cols[k : k + step], axis=0)
+        diffs -= second.take(rows[k : k + step], axis=0)
+        block = out[k : k + step]
+        np.vecdot(diffs[:, :_DOT_SEGMENT], diffs[:, :_DOT_SEGMENT], out=block)
+        for j in range(_DOT_SEGMENT, d, _DOT_SEGMENT):
+            block += np.vecdot(diffs[:, j : j + _DOT_SEGMENT], diffs[:, j : j + _DOT_SEGMENT])
+    return out
+
+
+# Most multiply-adds in one GEMM call of gemm_sqdist: OpenBLAS runs a dgemm
+# of at most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 on the
+# calling thread.  One call of 100 x 100 x 2000 on its two threads had a p50
+# of 0.56 ms but a p90 of 56 ms, the helper's wake-up on a sleeping vCPU.
+_GEMM_TILE = 2**18
+# Columns of a GEMM tile when a full-width tile would hold fewer than four
+# rows.  Measured tiles (2-CPU VM, p50 of 21 calls) at 800 x 1000 x 128:
+# 2 x 1000 took 44 ms, 16 x 128 9.5 ms, 64 x 32 6.9 ms; at 100 x 100 x 2000,
+# 4 x 32 took 1.75 ms and 2 x 64 2.4 ms.
+_GEMM_COLS = 32
+# An entry of the expansion at most _EXACT_RATIO times its row's bound, or
+# at most _EXACT_BELOW, is recomputed by the kernel.  _EXACT_BELOW lies above
+# LSL's floor (estimators.DEFAULT_SQDIST_FLOOR, 1e-30), so no entry that
+# floor could clamp is left to the expansion.
+_EXACT_RATIO = 2.0**20
+_EXACT_BELOW = 1e-28
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+@dataclass(frozen=True, eq=False)
+class BoundedSqdist:
+    """Squared distances within a per-row bound of the kernel's; ``gemm_sqdist`` builds them.
+
+    ``values[i, j]`` differs from ``pairwise_sqdist``'s entry (i, j) by at
+    most ``bound[i, 0]``, and every entry the kernel did not compute is at
+    least ``lows[i, 0]``.  ``bound`` and ``lows`` are None when ``values`` is
+    the kernel's own matrix.  All three are read-only.
+    """
+
+    values: np.ndarray
+    bound: np.ndarray | None = None
+    lows: np.ndarray | None = None
+
+
+def _tile_starts(size: int, step: int) -> list[int]:
+    """Starts of the tiles of ``step`` along ``size``; a last tile of one is started one earlier.
+
+    A one-row or one-column tile would be a BLAS gemv, which OpenBLAS
+    threads at a smaller size than a gemm.  The overlapped row or column is
+    computed twice, by tiles of fixed shapes, so the result is deterministic.
+    """
+    return [min(start, size - 2) if size - start == 1 else start for start in range(0, size, step)]
+
+
+def gemm_sqdist(second: np.ndarray, first: np.ndarray) -> BoundedSqdist:
+    """Squared distances by the GEMM expansion, each within its row's bound of ``pairwise_sqdist``.
+
+    Entry (i, j) is ||b_i||^2 + ||a_j||^2 - 2<b_i, a_j> for b_i = second[i]
+    and a_j = first[j]; the products come from tiled ``np.matmul`` calls of
+    at most ``_GEMM_TILE`` multiply-adds, so none wakes a BLAS helper
+    thread, and the norms from ``np.einsum``, which calls no BLAS.
+
+    The bound rests on Higham 2002, section 3.1: a dot product of length k
+    computed in any order, with or without FMA, is within gamma_k |x|.|y|
+    of the exact one, gamma_k = k u / (1 - k u), u = 2^-53.  With
+    S = ||a||^2 + ||b||^2 and D the exact squared distance:
+
+    - the kernel rounds each difference once and then dots them, so it is
+      within gamma_{d+2} D <= 2 gamma_{d+2} S of D;
+    - the expansion's two norms and its product are within 2 gamma_d S of
+      theirs together, and its two additions, over terms that sum to at
+      most 2 S (1 + gamma_d), add at most 2 gamma_2 S (1 + gamma_d), so it
+      is within 2 gamma_{d+2} S of D.
+
+    So |expansion - kernel| <= 4 gamma_{d+2} S.  The row bound is
+    4 gamma_{d+4} (||b_i||^2 + max_j ||a_j||^2) on the computed norms; the
+    slack of gamma_{d+4} over gamma_{d+2}, at least 2/(d+4) relative, covers
+    the norms' own rounding and that of the bound's arithmetic.
+
+    An entry at most ``_EXACT_RATIO`` times its row's bound, or at most
+    ``_EXACT_BELOW``, is recomputed by ``sqdist_entries``: cancellation
+    swamps it, and a coincident pair must read the kernel's value.  If more
+    than n + m entries need that, or the norms come near overflow, or a tile
+    of two rows and two columns would exceed ``_GEMM_TILE`` (d > 65536), or
+    there is one second-set row, the result is the kernel's matrix itself
+    (``pairwise_sqdist``, which raises on overflow).
+    """
+    (n, d), m = second.shape, first.shape[0]
+    budget = _GEMM_TILE // d  # most rows x columns of one tile
+    if n < 2 or budget < 4:
+        return BoundedSqdist(_readonly(pairwise_sqdist(second, first)))
+    first_norms = np.einsum("ij,ij->i", first, first)
+    second_norms = np.einsum("ij,ij->i", second, second)
+    top = first_norms.max()
+    if not top + second_norms.max() < 2.0**1020:  # then no sum or product below can overflow
+        return BoundedSqdist(_readonly(pairwise_sqdist(second, first)))
+    cols = m if budget >= 4 * m else min(m, _GEMM_COLS, budget // 2)
+    rows = min(n, budget // cols)
+    values = np.empty((n, m))
+    scaled = -2.0 * second  # exact: a power of two
+    for i in _tile_starts(n, rows):
+        for j in _tile_starts(m, cols):
+            np.matmul(scaled[i : i + rows], first[j : j + cols].T, out=values[i : i + rows, j : j + cols])
+    values += second_norms[:, None]
+    values += first_norms
+    k = d + 4
+    bound = 4.0 * (k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)) * (second_norms + top)
+    limit = _EXACT_RATIO * bound + _EXACT_BELOW
+    lows = values.min(axis=1)
+    near = (lows <= limit).nonzero()[0]
+    if near.size:
+        at, cols_at = (values[near] <= limit[near, None]).nonzero()
+        if at.size > n + m:
+            return BoundedSqdist(_readonly(pairwise_sqdist(second, first)))
+        rows_at = near[at]
+        values[rows_at, cols_at] = sqdist_entries(second, first, rows_at, cols_at)
+    # an entry left to the expansion exceeds its row's limit and is at least its row's minimum
+    np.maximum(lows, limit, out=lows)
+    return BoundedSqdist(_readonly(values), _readonly(bound[:, None]), _readonly(lows[:, None]))
+
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
     """Uniform draw from the symmetric group by Fisher-Yates.
 
@@ -389,12 +537,21 @@ class MatchInstance:
 
     @cached_property
     def sqdist(self) -> np.ndarray:
-        """Read-only squared distances, entry (i, j) = ||first[j] - second[i]||^2.
+        """Read-only squared distances from the exact kernel, entry (i, j) = ||first[j] - second[i]||^2.
 
         Computed on first access and kept; safe on the frozen instance
-        because both feature matrices are read-only.
+        because both feature matrices are read-only.  The estimators read
+        ``bounded_sqdist`` and come here only when a check fails.
         """
         return _readonly(pairwise_sqdist(self.second.vectors, self.first.vectors))
+
+    @cached_property
+    def bounded_sqdist(self) -> BoundedSqdist:
+        """``gemm_sqdist`` of the instance's features: what its estimators solve on.
+
+        Computed on first access and kept, as ``sqdist`` is.
+        """
+        return gemm_sqdist(self.second.vectors, self.first.vectors)
 
 
 def generate_instance(

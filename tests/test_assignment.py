@@ -19,7 +19,8 @@ from permatch import (
     solve_in_lockstep,
     uniform_box_features,
 )
-from permatch.assignment import _LOCKSTEP_MIN
+from permatch import assignment
+from permatch.assignment import _LOCKSTEP_MIN, CertificateError
 
 
 def test_cost_matrix_validation():
@@ -310,6 +311,23 @@ _SOLVER_PINS = {
 }
 
 
+def test_pinned_lsl_instance_solves_to_its_pin_on_bounded_gemm_costs():
+    # The lsl-50x50 pin's instance through cost_lsl: GEMM entries within
+    # their row bounds of the kernel's, and a certified solve that finds
+    # the pinned assignment, with potentials tight on the exact entries.
+    theta = uniform_box_features(50, 50, 1.4, seed=5)
+    truth = random_permutation(np.random.default_rng(6), 50)
+    inst = generate_instance(theta, NoiseSpec.homoscedastic(1.0), truth, 7)
+    cost = cost_lsl(inst)
+    exact = CostMatrix(np.log(np.maximum(inst.sqdist, DEFAULT_SQDIST_FLOOR)))
+    assert cost.bound is not None
+    assert np.all(np.abs(cost.entries - exact.entries) <= cost.bound)
+    sol = solve_hungarian(cost)
+    assert sol.assignment.map.tolist() == _SOLVER_PINS["lsl-50x50"][0]
+    assert certify(exact, sol)
+    assert sol.total_cost == solve_hungarian(exact).total_cost
+
+
 @pytest.mark.parametrize("name", list(_SOLVER_PINS))
 def test_solver_output_is_pinned_bit_for_bit(name):
     # The assignment and the float.hex of every dual potential; a solver
@@ -402,3 +420,56 @@ def test_kept_solution_is_read_only():
     for array in (solution.row_potentials, solution.col_potentials, solution.assignment.map):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+# --------------------------------------------------------------- certificate
+
+def _identity_start(stack):
+    """A broken row reduction: row i takes column i, tight, whatever the costs."""
+    count, n, m = stack.shape
+    row_of = np.full((count, m), -1)
+    row_of[:, :n] = np.arange(n)
+    u = stack[:, np.arange(n), np.arange(n)].copy()
+    return u, np.zeros((count, m)), np.tile(np.arange(n), (count, 1)), row_of
+
+
+def test_failed_certificate_raises_certificate_error(monkeypatch):
+    # A solver that returns a wrong assignment is a bug, not bad input:
+    # CertificateError, not the ValueError of a validation failure, for an
+    # exact cost and for a bounded one, whose exact fallback fails too.
+    monkeypatch.setattr(assignment, "_start", _identity_start)
+    assert not issubclass(CertificateError, ValueError)
+    with pytest.raises(CertificateError):
+        solve_hungarian(CostMatrix([[5.0, 1.0], [1.0, 5.0]]))
+    with pytest.raises(CertificateError):
+        solve_in_lockstep([CostMatrix([[5.0, 1.0], [1.0, 5.0]]) for _ in range(_LOCKSTEP_MIN)])
+    inst = generate_instance(
+        uniform_box_features(8, 4, 3.0, seed=1), NoiseSpec.homoscedastic(0.1),
+        Permutation([1, 0, 3, 2, 5, 4, 7, 6]), seed=2,
+    )
+    bounded = cost_lsl(inst)
+    assert bounded.bound is not None
+    with pytest.raises(CertificateError):
+        solve_hungarian(bounded)
+
+
+def test_failed_bounded_certificate_solves_the_exact_matrix(monkeypatch):
+    # A bounded cost whose certificate fails keeps the exact matrix's
+    # solution: the same assignment, and that solve's potentials.
+    inst = generate_instance(
+        uniform_box_features(30, 10, 2.0, seed=3), NoiseSpec.homoscedastic(1.0),
+        random_permutation(np.random.default_rng(4), 30), seed=5,
+    )
+    exact = solve_hungarian(CostMatrix(np.log(np.maximum(inst.sqdist, DEFAULT_SQDIST_FLOOR))))
+    monkeypatch.setattr(assignment, "_certified", lambda cost, u, v, col_of: None)
+    fallback = solve_hungarian(cost_lsl(inst))
+    assert _bits(fallback) == _bits(exact) and fallback.total_cost == exact.total_cost
+
+
+def test_bounded_cost_validation():
+    with pytest.raises(ValueError):
+        CostMatrix(np.zeros((2, 3)), bound=np.zeros((2, 1)))  # a bound needs its exact entries
+    with pytest.raises(ValueError):
+        CostMatrix(np.zeros((2, 3)), bound=np.zeros((3, 1)), exact=lambda *pairs: np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        CostMatrix(np.zeros((2, 3)), bound=-np.ones((2, 1)), exact=lambda *pairs: np.zeros((2, 3)))

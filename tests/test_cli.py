@@ -147,6 +147,72 @@ def test_match_output_is_byte_identical_to_pinned_csv(name, estimator, tmp_path,
     assert out.read_bytes() == (data / f"{name}-{estimator}.csv").read_bytes()
 
 
+def _identity_start(stack):
+    """A broken row reduction: row i takes column i, tight, whatever the costs."""
+    count, n, m = stack.shape
+    row_of = np.full((count, m), -1)
+    row_of[:, :n] = np.arange(n)
+    u = stack[:, np.arange(n), np.arange(n)].copy()
+    return u, np.zeros((count, m)), np.tile(np.arange(n), (count, 1)), row_of
+
+
+def test_failed_certificate_is_internal_error(instance_files, monkeypatch, capsys):
+    # A solution that fails its certificate is a bug: exit code 3, not the
+    # validation error's 1 or an uncaught exception's.
+    from permatch import assignment
+
+    first, second, _ = instance_files
+    monkeypatch.setattr(assignment, "_start", _identity_start)
+    assert main(["match", str(first), str(second)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def _force(path, monkeypatch):
+    """Force the certified paths: flag every entry (bound +inf), or fail every certificate and greedy margin."""
+    from permatch import assignment, estimators
+
+    certified, holds = assignment._certified, estimators._greedy_margins_hold
+    if path == "every-entry-flagged":
+        def flag_all(cost, u, v, col_of):
+            object.__setattr__(cost, "bound", np.full_like(cost.bound, np.inf))
+            return certified(cost, u, v, col_of)
+
+        monkeypatch.setattr(assignment, "_certified", flag_all)
+        monkeypatch.setattr(estimators, "_greedy_margins_hold",
+                            lambda stack, maps, bounds: holds(stack, maps, np.full_like(bounds, np.inf)))
+    else:
+        monkeypatch.setattr(assignment, "_certified", lambda cost, u, v, col_of: None)
+        monkeypatch.setattr(estimators, "_greedy_margins_hold",
+                            lambda stack, maps, bounds: np.zeros(len(stack), dtype=bool))
+
+
+@pytest.mark.parametrize("path", ["every-entry-flagged", "every-check-fails"])
+def test_forced_certificate_paths_write_the_same_bytes(path, tmp_path, monkeypatch):
+    # Every summary and match output is that of the exact distances, so
+    # flagging every entry for the exact check, or failing every check and
+    # solving the kernel's matrices, writes the normal path's bytes.
+    root = pathlib.Path(__file__).resolve().parent
+    data = root / "data"
+    configs = sorted((root.parent / "configs").glob("*.cfg"))
+    assert len(configs) == 4
+    runs = [["experiment", str(cfg), "--trials", "3", "--seed", "5"] for cfg in configs]
+    pinned = [(f"{name}-{estimator}.csv", ["match", str(data / f"{name}-first.csv"), str(data / f"{name}-second.csv"),
+                                           "--estimator", estimator])
+              for name in ("match-60x60-sigma", "match-70into90") for estimator in ESTIMATOR_NAMES
+              if (data / f"{name}-{estimator}.csv").exists()]
+    normal = []
+    for k, args in enumerate(runs):
+        assert main(args + ["--out", str(tmp_path / f"normal-{k}.csv")]) == 0
+        normal.append((tmp_path / f"normal-{k}.csv").read_bytes())
+    _force(path, monkeypatch)
+    for k, args in enumerate(runs):
+        assert main(args + ["--out", str(tmp_path / f"forced-{k}.csv")]) == 0
+        assert (tmp_path / f"forced-{k}.csv").read_bytes() == normal[k], args
+    for pin, args in pinned:
+        assert main(args + ["--out", str(tmp_path / pin)]) == 0
+        assert (tmp_path / pin).read_bytes() == (data / pin).read_bytes(), pin
+
+
 def test_bad_estimator_flag_is_validation_error(instance_files):
     first, second, _ = instance_files
     assert main(["match", str(first), str(second), "--estimator", "nearest"]) == 1

@@ -1,8 +1,9 @@
 """Pinned outputs do not move on numpy's and OpenBLAS's other CPU paths.
 
 numpy picks its SIMD loops by CPU at import time and OpenBLAS picks its
-kernels by CPU, so intermediate draws and distances may differ in their last
-bits from one path to another.  The summaries and match outputs must not.
+kernels by CPU, and the GEMM distances may also depend on OpenBLAS's thread
+count, so intermediate draws and distances may differ in their last bits
+from one path to another.  The summaries and match outputs must not.
 Each child process below reruns the pinned outputs of test_cli.py on one
 other path, and every output is compared byte for byte with its pin.
 Tests whose values are not pins but rest on rounding, such as the criterion
@@ -45,6 +46,8 @@ def _other_paths():
     }
     if _HASWELL:
         paths["OpenBLAS Haswell kernels"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    # the GEMM distances' bits, unlike the kernel's, may depend on the BLAS thread count
+    paths["one OpenBLAS thread"] = {"OPENBLAS_NUM_THREADS": "1"}
     return paths
 
 

@@ -12,6 +12,7 @@ from permatch import (
     LSS,
     VARIANCE_GREEDY,
     AssignmentSolution,
+    DEFAULT_SQDIST_FLOOR,
     CostMatrix,
     EstimatorKind,
     ExperimentConfig,
@@ -77,11 +78,15 @@ def test_cost_lss_matches_naive_double_loop():
         _manual_instance(rng.normal(size=(50, 50)), rng.normal(size=(47, 50))),
     ]
     for inst in cases:
-        entries = cost_lss(inst).entries
+        entries = inst.sqdist  # the kernel, which every exact entry and fallback reads
         for i in range(inst.second.n):
             for j in range(inst.first.n):
                 diff = inst.first.vectors[j] - inst.second.vectors[i]
                 assert entries[i, j] == np.dot(diff, diff)
+        cost = cost_lss(inst)  # the GEMM distances, within their row bounds of the kernel
+        assert cost.bound is not None
+        assert np.all(np.abs(cost.entries - entries) <= cost.bound)
+        assert cost.exact().tobytes() == entries.tobytes()
 
 
 def test_cost_lsns_homoscedastic_is_half_lss():
@@ -115,10 +120,57 @@ def test_cost_lsl_composition_and_floor():
     np.testing.assert_allclose(
         cost_lsl(inst).entries, np.log(cost_lss(inst).entries), rtol=1e-14
     )
+    cost, exact = cost_lsl(inst), np.log(inst.sqdist)
+    assert cost.exact().tobytes() == exact.tobytes()
+    assert np.all(np.abs(cost.entries - exact) <= cost.bound)
     coincident = _manual_instance([[1.0, 2.0], [5.0, 5.0]], [[1.0, 2.0], [4.0, 4.0]])
+    assert coincident.sqdist[0, 0] == 0.0
     entries = cost_lsl(coincident).entries
-    assert entries[0, 0] == pytest.approx(math.log(1e-30))
+    assert entries[0, 0] == math.log(1e-30)  # the pair is recomputed by the kernel, so it reads the floor
     assert entries[0, 0] < entries.min(initial=0.0) + 1e-9  # the floor is the smallest value
+
+
+def _hard_instances():
+    """(name, instance): inputs on which the GEMM distances alone could mislead."""
+    rng = np.random.default_rng(17)
+    first = rng.standard_normal((30, 20))
+    perm = rng.permutation(30)
+    levels = rng.choice([0.5, 1.0, 2.0], size=30)
+    noisy = first[perm] + 0.3 * rng.standard_normal((30, 20))
+    # ||x||^2 ~ 2e13 against squared distances ~ 10: cancellation swamps the expansion
+    yield "offset-1e6", _manual_instance(first + 1e6, noisy + 1e6, levels, levels[perm])
+    duplicated = noisy.copy()
+    duplicated[::3] = first[perm[::3]]  # every third pair coincides: LSL's floor
+    yield "duplicated", _manual_instance(first, duplicated, levels, levels[perm])
+    ties = rng.integers(0, 3, (30, 6)).astype(float)  # integer distances, many equal
+    yield "integer-ties", _manual_instance(ties, ties[perm[:24]], levels, levels[perm[:24]])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _hard_instances()])
+def test_hard_inputs_give_the_exact_paths_results(name, monkeypatch):
+    from permatch import model
+
+    inst = dict(_hard_instances())[name]
+    normal = {kind.tag: estimate(inst, kind) for kind in (GREEDY, LSS, LSNS, LSL)}
+    if name == "offset-1e6":
+        assert inst.bounded_sqdist.bound is None  # the kernel's matrix itself
+    if name == "duplicated":
+        rows, cols = (inst.sqdist == 0.0).nonzero()
+        assert rows.tolist() == list(range(0, 30, 3))
+        assert (cost_lsl(inst).entries[rows, cols] == math.log(DEFAULT_SQDIST_FLOOR)).all()
+        assert (normal["lsl"].map[rows] == cols).all()
+    monkeypatch.setattr(model, "gemm_sqdist", lambda second, first: model.BoundedSqdist(pairwise_sqdist(second, first)))
+    exact = _manual_instance(inst.first.vectors, inst.second.vectors, inst.first_noise.levels, inst.second_noise.levels)
+    assert exact.bounded_sqdist.bound is None
+    for kind in (GREEDY, LSS, LSNS, LSL):
+        assert estimate(exact, kind) == normal[kind.tag], kind.tag
+
+
+def test_gemm_recompute_threshold_lies_above_the_lsl_floor():
+    # an entry the expansion keeps is above model._EXACT_BELOW, so LSL never floors it
+    from permatch import model
+
+    assert model._EXACT_BELOW > DEFAULT_SQDIST_FLOOR
 
 
 def test_distances_at_least_one_give_nonnegative_lsl():
@@ -404,7 +456,12 @@ def test_batched_greedy_is_bit_for_bit_the_one_instance_loop(count, n, m, d, tie
         instances[0] = _manual_instance(np.zeros((m, d)), np.zeros((n, d)))  # every entry ties
     stacks = _greedy_stacks(monkeypatch)
     assert list(solve_together(instances, (GREEDY, LSS))) == instances
-    assert stacks == [(count, n, m)]  # one stack held the whole batch
+    # one stack held the whole batch; with ties, a second one holds the
+    # instances whose margins fail on the GEMM distances, on the kernel's
+    redone = _tied_margins(instances)
+    assert (redone > 0) == ties
+    assert stacks == [(count, n, m)] + [(redone, n, m)] * (redone > 0)
+    del stacks[:]
     for inst in instances:
         expected = _greedy_one_instance(inst.sqdist)
         assert estimate(inst, GREEDY).map.tolist() == expected
@@ -412,7 +469,48 @@ def test_batched_greedy_is_bit_for_bit_the_one_instance_loop(count, n, m, d, tie
         assert estimate_greedy(alone) == Permutation(expected, codomain=m)
     if ties:
         assert estimate_greedy(instances[0]).map.tolist() == list(range(n))
-    assert stacks == [(count, n, m)] + [(1, n, m)] * count  # the lone instances ran one at a time
+    # the lone instances ran one at a time, each failed margin once more on the kernel's distances
+    assert stacks == [(1, n, m)] * (count + redone)
+
+
+def _tied_margins(instances) -> int:
+    """How many bounded instances have a greedy pick within twice its row's bound of a free column."""
+    failing = 0
+    for inst in instances:
+        distances = inst.bounded_sqdist
+        if distances.bound is None:
+            continue
+        work = np.array(distances.values)
+        for i in range(work.shape[0]):
+            j = int(work[i].argmin())
+            picked, runner_up = work[i, j], np.delete(work[i], j).min(initial=np.inf)
+            work[:, j] = np.inf
+            if not runner_up - picked > 2.0 * distances.bound[i, 0]:
+                failing += 1
+                break
+    return failing
+
+
+def test_greedy_reruns_on_the_kernel_where_margins_fail(monkeypatch):
+    # Forcing every bound to +inf fails every margin: each instance's map then
+    # comes from a second stack of the kernel's distances, and equals it.
+    from permatch import model
+    from permatch.estimators import solve_together
+
+    instances = _greedy_draws(9, 50, 50, 50, seed=3)
+    expected = [_greedy_one_instance(inst.sqdist) for inst in instances]
+    gemm = model.gemm_sqdist
+
+    def unbounded(second, first):
+        distances = gemm(second, first)
+        return model.BoundedSqdist(distances.values, np.full_like(distances.bound, np.inf), distances.lows)
+
+    monkeypatch.setattr(model, "gemm_sqdist", unbounded)
+    forced = [_manual_instance(inst.first.vectors, inst.second.vectors) for inst in instances]
+    stacks = _greedy_stacks(monkeypatch)
+    assert list(solve_together(forced, (GREEDY,))) == forced
+    assert stacks == [(9, 50, 50), (9, 50, 50)]
+    assert [estimate_greedy(inst).map.tolist() for inst in forced] == expected
 
 
 def test_batched_greedy_flushes_at_a_shape_change(monkeypatch):

@@ -102,21 +102,28 @@ def test_run_experiment_deterministic():
 
 
 def test_distance_matrix_built_once_per_instance(monkeypatch):
-    from permatch import model
+    # One GEMM distance build per instance, shared by every estimator; the
+    # exact kernel does not run, since every certificate and margin holds.
+    from permatch import estimators, model
 
-    calls = []
-    kernel = model.pairwise_sqdist
+    calls, kernel_calls = [], []
 
-    def counting(second, first):
-        calls.append(second.shape)
-        return kernel(second, first)
+    def counted(function, into):
+        def counting(second, first):
+            into.append(second.shape)
+            return function(second, first)
 
-    monkeypatch.setattr(model, "pairwise_sqdist", counting)
+        return counting
+
+    monkeypatch.setattr(model, "gemm_sqdist", counted(model.gemm_sqdist, calls))
+    monkeypatch.setattr(model, "pairwise_sqdist", counted(model.pairwise_sqdist, kernel_calls))
+    monkeypatch.setattr(estimators, "pairwise_sqdist", counted(estimators.pairwise_sqdist, kernel_calls))
     kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl"))
     config = _config(estimators=kinds)
     records = run_experiment(config)
     assert len(records) == len(config.sweep) * config.trials * len(kinds)
     assert len(calls) == len(config.sweep) * config.trials
+    assert kernel_calls == []
 
 
 def test_run_experiment_records_shape():
