@@ -21,18 +21,14 @@ Conventions
 Distances
 ---------
 ``pairwise_sqdist`` is the one exact feature-to-feature distance kernel.
-It blocks both sets, up to ``_SQDIST_BLOCK`` differences per block, into
-two buffers from one allocation per call: a small instance takes a few
-numpy calls, not a few per row, and no step allocates a block, so the kernel's
-speed does not depend on the state of the process's heap.
-The second buffer holds each second-set block repeated across a first-set
-block, so every subtraction runs over contiguous operands in one long
-inner loop.  A block takes several second-set rows, so each read of a
-first-set block serves all of them.  Each block's squared norms are one
-``np.vecdot`` pass, a BLAS dot per entry; a dot longer than
-``_DOT_SEGMENT`` (8192) elements is split into segments added in index
-order, so the bits depend on the BLAS core kernel but not on its thread
-count.  ``sqdist_entries`` computes the same bits at chosen entries only.
+It takes one second-set row at a time: the row is copied across a tile,
+and blocks of first-set rows, up to ``_SQDIST_BLOCK`` differences each,
+are subtracted from the tile into a buffer beside it.  Each entry is then
+one BLAS dot of its difference with itself (``np.vecdot``); a dot longer
+than ``_DOT_SEGMENT`` (8192) elements is split into segments added in
+index order, so the bits depend on the BLAS core kernel but not on its
+thread count.  ``sqdist_entries`` computes the same bits at chosen
+entries only.
 
 The estimators do not wait for the kernel.  ``gemm_sqdist`` expands
 ||a||^2 + ||b||^2 - 2<a, b> with one GEMM, an order of magnitude faster,
@@ -44,8 +40,11 @@ Costs solve on these values and prove the result on exact entries (the
 ``permatch.estimators`` and ``permatch.assignment`` module docstrings).
 ``MatchInstance.bounded_sqdist`` holds them for an instance, and
 ``MatchInstance.sqdist``, the kernel's matrix, is computed only when read:
-by a fallback, variance-greedy or ``separation``.  Both are computed on
-first use and then shared by every estimator run on that instance.
+by variance-greedy on every call, and by greedy when its margin check
+fails.  A cost whose certificate fails runs the kernel itself, and
+``permatch.metrics.separation`` runs it on template rows.  Both matrices
+are computed on first use and then shared by every estimator run on that
+instance.
 """
 
 from __future__ import annotations
@@ -270,89 +269,47 @@ _SQDIST_BLOCK = 2**15
 # Longest dot of pairwise_sqdist: OpenBLAS splits a dot of more than 10**4
 # elements across its threads, and the split changes the sum's bits.
 _DOT_SEGMENT = 8192
-# Second-set rows of a pairwise_sqdist block when the first set spans
-# several blocks; from a scan of 1, 2, 4 and 8 (see pairwise_sqdist).
-_SQDIST_ROWS = 4
 
 
-def _sqdist_blocks(n: int, m: int, d: int) -> tuple[int, int]:
-    """(second-set rows, first-set rows) of one pairwise_sqdist block.
+def _segmented_dots(diffs: np.ndarray, out: np.ndarray) -> None:
+    """``out[k]`` = the squared norm of ``diffs[k]``: one BLAS dot per row, in segments added in index order.
 
-    The whole first set if it fits, with as many second-set rows as fit
-    beside it; otherwise ``_SQDIST_ROWS`` second-set rows (fewer above
-    d = 2^13) and as many first-set rows as fit.  A block never holds more
-    than ``max(_SQDIST_BLOCK, d)`` elements.
+    Each segment of at most ``_DOT_SEGMENT`` elements is one dot on one
+    thread, so the bits depend on the BLAS core kernel but not on its
+    thread count.
     """
-    fstep = max(1, min(m, _SQDIST_BLOCK // d))
-    if fstep == m:
-        return max(1, min(n, _SQDIST_BLOCK // (m * d))), m
-    sstep = max(1, min(n, _SQDIST_ROWS, _SQDIST_BLOCK // d))
-    return sstep, max(1, min(m, _SQDIST_BLOCK // (sstep * d)))
+    np.vecdot(diffs[:, :_DOT_SEGMENT], diffs[:, :_DOT_SEGMENT], out=out)
+    for k in range(_DOT_SEGMENT, diffs.shape[1], _DOT_SEGMENT):
+        out += np.vecdot(diffs[:, k : k + _DOT_SEGMENT], diffs[:, k : k + _DOT_SEGMENT])
 
 
 def pairwise_sqdist(second: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Squared distances, entry (i, j) = ||first[j] - second[i]||^2.
+    """Squared distances, entry (i, j) = ||first[j] - second[i]||^2, from the differences.
 
-    Computes blocks of (second-set rows) x (first-set rows) x d differences
-    in two buffers of at most ``_SQDIST_BLOCK`` elements each (or d, if d is
-    larger), taken from one allocation per call: no cancellation-prone
-    ||a||^2 + ||b||^2 - 2 a.b expansion, no (n x m x d) intermediate, and no
-    temporary per step, so the kernel's speed does not hang on the
-    allocator's state.  Two separate allocations did: glibc then trimmed
-    the heap top on every call, and the page faults made 50 x 50 at d = 50
-    ~1.5x slower.  Blocking both sets makes a small instance a few numpy
-    calls instead of a few per row (50 x 50 at d = 50 takes 4 steps, not
-    50).  The second buffer, the tile, is filled once per second-set block
-    with that block's rows, each repeated across a first-set block.
-    Subtracting a broadcast row would run one d-long inner loop per
-    first-set row; subtracting from the tile runs over contiguous operands
-    in one loop of the whole block, ~1.4x faster per element at d = 128.
-    Subtraction is exact elementwise, so the loop shape does not change a
-    bit.  When the first set spans several blocks, a block takes four
-    second-set rows (``_SQDIST_ROWS``) and a quarter as many first-set
-    rows, so each first-set block is read, and the tile filled, once for
-    four rows rather than once per row.  In a scan of 1, 2, 4 and 8 rows
-    (2-CPU VM, median of 9), four took 0.83x the one-row time at
-    100 x 100 x 2000, 0.86x at 200^3 and 0.97x at 800 x 1000 x 128; eight
-    was slower than one on three of the four shapes.  Above d = 2^13 the
-    rows are capped so a block still holds at most d elements.  Each entry
-    is then one ``np.vecdot`` of its difference with
-    itself, a BLAS dot of the same nonnegative squares: bit-equal to
-    ``np.vecdot(first[j] - second[i], first[j] - second[i])`` whatever the
-    block shape.  Its bits depend on the BLAS core kernel, but not on the
-    BLAS thread count: above ``_DOT_SEGMENT`` elements the dot is split into
-    segments of that length, each run on one thread, and their dots (a few
-    values per step) are added in index order.  For finite features a
-    non-finite entry can only be an overflow, which raises ValueError.
+    For each second-set row the row is copied across a tile, and blocks of
+    first-set rows, at most ``_SQDIST_BLOCK`` elements each (one row if d is
+    larger), are subtracted from the tile into a buffer beside it; the
+    buffer's squared row norms are ``_segmented_dots``.  Tile and buffer
+    are one allocation per call, and a subtraction of operands of one
+    shape needs no iterator buffer, so no step allocates.  Subtraction is
+    exact elementwise, so entry (i, j) is the segmented dots of
+    ``first[j] - second[i]`` bit for bit.  For finite features a non-finite
+    entry can only be an overflow, which raises ValueError.
     """
     (n, d), m = second.shape, first.shape[0]
     out = np.empty((n, m))
-    sstep, fstep = _sqdist_blocks(n, m, d)
-    buf, tile = np.empty((2, sstep, fstep, d))
-    firsts, diffs = first[None], buf
-    if fstep == m:
-        # The whole first set is one block: repeat it once into buf and take
-        # the differences in the tile, so that no subtraction broadcasts (a
-        # broadcasting ufunc allocates iterator buffers on every call).
-        # Otherwise each first-set block is broadcast across the block's
-        # second-set rows: repeating it would be a copy per step.
-        firsts, diffs = buf, tile
-        np.copyto(buf, first[None])
+    step = max(1, min(m, _SQDIST_BLOCK // d))
+    diffs, tile = np.empty((2, step, d))
     with np.errstate(over="ignore"):
-        for i in range(0, n, sstep):
-            rows = tile[: n - i]
-            np.copyto(rows, second[i : i + sstep, None])
-            for j in range(0, m, fstep):
-                b = np.subtract(firsts[: n - i, j : j + fstep], rows[:, : m - j], out=diffs[: n - i, : m - j])
-                block = out[i : i + sstep, j : j + fstep]
-                np.vecdot(b[..., :_DOT_SEGMENT], b[..., :_DOT_SEGMENT], out=block)
-                for k in range(_DOT_SEGMENT, d, _DOT_SEGMENT):
-                    block += np.vecdot(b[..., k : k + _DOT_SEGMENT], b[..., k : k + _DOT_SEGMENT])
+        for i in range(n):
+            np.copyto(tile, second[i])
+            for j in range(0, m, step):
+                block = np.subtract(first[j : j + step], tile[: m - j], out=diffs[: m - j])
+                _segmented_dots(block, out[i, j : j + step])
     # entries are sums of squares, so an inf or a NaN shows in the max
     if not np.isfinite(out.max()):
         raise ValueError("squared distances overflow float64; rescale the features")
     return out
-
 
 
 def sqdist_entries(second: np.ndarray, first: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -360,22 +317,18 @@ def sqdist_entries(second: np.ndarray, first: np.ndarray, rows: np.ndarray, cols
 
     The differences ``first[cols] - second[rows]`` are gathered a block of
     at most ``_SQDIST_BLOCK`` elements (or one entry, if d is larger) at a
-    time, and each entry is then the kernel's segmented ``np.vecdot``: the
+    time, and each entry is then the kernel's ``_segmented_dots``: the
     same BLAS dot of the same differences.  Gathering all entries at once
     would allocate k x d floats, 3 MB for 188 entries at d = 2000, and
     freeing a block that large moves glibc's mmap threshold, which changes
     how fast later large temporaries in the process are served.
     """
-    d = second.shape[1]
-    step = max(1, _SQDIST_BLOCK // d)
+    step = max(1, _SQDIST_BLOCK // second.shape[1])
     out = np.empty(rows.size)
     for k in range(0, rows.size, step):
         diffs = first.take(cols[k : k + step], axis=0)
         diffs -= second.take(rows[k : k + step], axis=0)
-        block = out[k : k + step]
-        np.vecdot(diffs[:, :_DOT_SEGMENT], diffs[:, :_DOT_SEGMENT], out=block)
-        for j in range(_DOT_SEGMENT, d, _DOT_SEGMENT):
-            block += np.vecdot(diffs[:, j : j + _DOT_SEGMENT], diffs[:, j : j + _DOT_SEGMENT])
+        _segmented_dots(diffs, out[k : k + step])
     return out
 
 
@@ -489,6 +442,7 @@ def gemm_sqdist(second: np.ndarray, first: np.ndarray) -> BoundedSqdist:
     np.maximum(lows, limit, out=lows)
     return BoundedSqdist(_readonly(values), _readonly(bound[:, None]), _readonly(lows[:, None]))
 
+
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
     """Uniform draw from the symmetric group by Fisher-Yates.
 
@@ -540,8 +494,9 @@ class MatchInstance:
         """Read-only squared distances from the exact kernel, entry (i, j) = ||first[j] - second[i]||^2.
 
         Computed on first access and kept; safe on the frozen instance
-        because both feature matrices are read-only.  The estimators read
-        ``bounded_sqdist`` and come here only when a check fails.
+        because both feature matrices are read-only.  Variance-greedy reads
+        it on every call; greedy reads it only when its margin check fails,
+        and the other estimators read ``bounded_sqdist``.
         """
         return _readonly(pairwise_sqdist(self.second.vectors, self.first.vectors))
 

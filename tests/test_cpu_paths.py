@@ -7,7 +7,9 @@ from one path to another.  The summaries and match outputs must not.
 Each child process below reruns the pinned outputs of test_cli.py on one
 other path, and every output is compared byte for byte with its pin.
 Tests whose values are not pins but rest on rounding, such as the criterion
-reductions', are rerun as a whole file under OpenBLAS's Haswell kernels.
+reductions' and the kernel's equality with its spec and with
+``sqdist_entries`` (both rest on the core's dot), are rerun as whole files
+under OpenBLAS's Haswell kernels.
 """
 
 import json
@@ -102,6 +104,7 @@ def test_pinned_outputs_are_byte_identical_on_other_cpu_paths(tmp_path):
 @pytest.mark.skipif(not _HASWELL, reason="OpenBLAS's Haswell kernels need AVX2 and FMA")
 def test_estimator_tests_pass_on_openblas_haswell_kernels():
     env = dict(os.environ, PYTHONPATH=str(_TESTS.parent / "src"), OPENBLAS_CORETYPE="Haswell")
-    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(_TESTS / "test_estimators.py")]
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(_TESTS / "test_estimators.py"),
+            str(_TESTS / "test_model.py")]
     child = subprocess.run(args, env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]

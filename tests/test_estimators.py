@@ -68,9 +68,8 @@ def test_cost_lss_identical_sets_zero_diagonal():
 
 
 def test_cost_lss_matches_naive_double_loop():
-    # d = 5000 streams 13 first-set rows in blocks of 6, 6 and 1; 47 second-set
-    # rows against 50 first-set rows at d = 50 take second-set blocks of 13,
-    # 13, 13 and 8 rows
+    # at d = 5000 the kernel takes the 13 first-set rows in blocks of 6, 6
+    # and a ragged 1; at d = 50 the 50 first-set rows are one block
     rng = np.random.default_rng(4)
     cases = [
         _instance(7, 5, 1.0, seed=3)[0],
@@ -164,6 +163,16 @@ def test_hard_inputs_give_the_exact_paths_results(name, monkeypatch):
     assert exact.bounded_sqdist.bound is None
     for kind in (GREEDY, LSS, LSNS, LSL):
         assert estimate(exact, kind) == normal[kind.tag], kind.tag
+
+
+def test_distances_above_the_gemm_tile_width_are_the_kernels_matrix():
+    # at d = 65537 a tile of two rows and two columns exceeds model._GEMM_TILE
+    rng = np.random.default_rng(65537)
+    first = rng.normal(size=(3, 65537))
+    inst = _manual_instance(first, first[[2, 0, 1]] + 0.1 * rng.normal(size=(3, 65537)))
+    assert inst.bounded_sqdist.bound is None
+    for kind in (GREEDY, LSS, LSL):
+        assert estimate(inst, kind) == Permutation([2, 0, 1]), kind.tag
 
 
 def test_gemm_recompute_threshold_lies_above_the_lsl_floor():

@@ -453,31 +453,32 @@ def _sqdist_per_row(second, first):
 @pytest.mark.parametrize(
     "n, m, d",
     [
-        (50, 50, 50),  # the whole first set, with second-set blocks of 13, 13, 13 and 11 rows
+        (50, 50, 50),  # the whole first set in one block
         (50, 47, 50),  # the same with a 47-row first set
-        (200, 200, 200),  # blocks of 4 second-set rows by 40 first-set rows
-        (100, 100, 2000),  # blocks of 4 by 4
-        (800, 1000, 128),  # blocks of 4 by 64, the last first-set block of 40
-        (40, 33, 1),  # one block
-        (300, 5000, 7),  # blocks of 4 by 1170, the last first-set block of 320
-        (50, 300, 8),  # the whole first set, with second-set blocks of 13 rows, the last of 11
-        (70, 3700, 9),  # blocks of 4 by 910, the last first-set block of 60
-        (30, 600, 129),  # blocks of 4 by 63, the last of 2 second-set rows by 33 first-set rows
-        (1, 250, 300),  # one second-set row; first-set blocks of 109, 109 and 32 rows
-        (1, 10, 8),
-        (7, 45, 2000),  # blocks of 4 by 4: ragged on both sides (3 second-set rows, 1 first-set row)
-        (9, 1001, 128),  # blocks of 4 by 64: the last of 1 second-set row by 41 first-set rows
-        (7, 5, 9000),  # blocks of 3 by 1 (d > 2**13 caps the rows); two dot segments
-        (5, 3, 20001),  # one row a side per block (d > _SQDIST_BLOCK); three dot segments
+        (200, 200, 200),  # blocks of 163 first-set rows, a ragged last block of 37
+        (100, 100, 2000),  # blocks of 16 rows, a ragged last block of 4
+        (800, 1000, 128),  # blocks of 256 rows, a ragged last block of 232
+        (40, 33, 1),  # the whole first set in one block; one-element dots
+        (300, 5000, 7),  # blocks of 4681 rows, a ragged last block of 319
+        (50, 300, 8),  # the whole first set in one block
+        (70, 3700, 9),  # blocks of 3640 rows, a ragged last block of 60
+        (30, 600, 129),  # blocks of 254 rows, a ragged last block of 92
+        (1, 250, 300),  # one second-set row; blocks of 109 rows, a ragged last block of 32
+        (1, 10, 8),  # one second-set row, one block
+        (7, 45, 2000),  # blocks of 16 rows, a ragged last block of 13
+        (9, 1001, 128),  # blocks of 256 rows, a ragged last block of 233
+        (7, 5, 9000),  # blocks of 3 rows, a ragged last block of 2; two dot segments
+        (5, 3, 20001),  # one row per block (d > _SQDIST_BLOCK); three dot segments
     ],
 )
 def test_pairwise_sqdist_is_hex_equal_to_a_per_row_loop(n, m, d):
-    # When the whole first set fits in one block it is repeated once for a
-    # block of second-set rows; otherwise each block pairs a few second-set
-    # rows with a block of first-set rows, and either side can be ragged.
     rng = np.random.default_rng(n * m + d)
     second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-    assert pairwise_sqdist(second, first).tobytes() == _sqdist_per_row(second, first).tobytes()
+    got = pairwise_sqdist(second, first)
+    assert got.tobytes() == _sqdist_per_row(second, first).tobytes()
+    # the certificates' and fallbacks' exact entries are the kernel's bits
+    rows, cols = np.divmod(np.arange(n * m), m)
+    assert model.sqdist_entries(second, first, rows, cols).tobytes() == got.reshape(-1).tobytes()
 
 
 def test_pairwise_sqdist_is_hex_equal_on_ties_and_names_an_overflow():
@@ -520,11 +521,10 @@ def test_pairwise_sqdist_bits_do_not_depend_on_the_blas_thread_count():
 def test_pairwise_sqdist_allocates_only_its_output_and_buffers(n, m, d):
     rng = np.random.default_rng(d)
     second, first = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-    sstep, fstep = model._sqdist_blocks(n, m, d)
-    assert sstep * fstep * d <= max(model._SQDIST_BLOCK, d)
-    # the kernel's buffer pair; the 4 KiB below covers the Python objects of
-    # its views, not a temporary the size of a block or of the output
-    buffers = 2 * sstep * fstep * d * 8
+    # the kernel's tile and difference buffer; the 4 KiB below covers the
+    # Python objects of its views, not a temporary the size of a block or of
+    # the output
+    buffers = 2 * max(model._SQDIST_BLOCK, d) * 8
     tracemalloc.start()
     try:
         out = pairwise_sqdist(second, first)
