@@ -15,8 +15,9 @@ within a per-row bound of the exact kernel's (``permatch.model``,
 *Distances*).  A cost carries that bound through its transform, so it
 is solved on fast entries and certified on exact ones
 (``permatch.assignment``, *Certificate*); greedy checks its margins
-against the bound.  Either falls back to the kernel's ``sqdist`` when
-its check fails.  So every result is the one the exact distances give.
+against the bound.  Either falls back to the cost's exact entries
+(``CostMatrix.exact``, which runs the kernel) when its check fails.  So
+every result is the one the exact distances give.
 
 The estimators:
 
@@ -38,7 +39,8 @@ The estimators:
   degenerate (coincident) inputs.
 - variance-greedy: matches on noise levels alone by comparing per-pair
   mean squared distances to the first set's variances; works even when all
-  templates coincide, provided levels differ.
+  templates coincide, provided levels differ.  Its scores are a bounded
+  cost like the others', and greedy's checked path runs on them.
 
 A linear matching criterion A(x - b) = A#(x# - b#) is not an estimator of
 its own.  ``reduce_criterion``, its one constructor, builds a
@@ -52,30 +54,31 @@ it with (I + B B^T)^{-1/2}.  So general LSL is LSL on the reduced instance.
 Solve-ahead
 -----------
 An instance keeps what its estimators build: the LSS, LSNS and LSL costs
-(``_kept_cost``), each of which keeps its solution, and greedy's map.  So
-each is built and solved once however often it is asked for, and
-``solve_together`` can build and solve them ahead for a stream of
+(``_kept_cost``), each of which keeps its solution, and greedy's map,
+which is greedy on the LSS cost.  Variance-greedy keeps neither its scores
+nor its map.  So each is built and solved once however often it is asked
+for, and ``solve_together`` can build and solve them ahead for a stream of
 instances.  It builds each arriving instance's distinct costs at once,
 while a freshly drawn instance's features are still in cache, and holds
 the instance.  The held batch flushes when one more instance like the last
 would take the held bytes past ``_BATCH_BYTES`` (32 MiB, counted from what
 each instance holds), when an instance of another shape arrives (a batch
 holds one shape), and at the end of the stream.  A flush hands the batch's
-distinct costs to ``solve_in_lockstep``, which keeps each solution with its
-cost, and, when the kinds include greedy, runs greedy on the batch's
-stacked distance matrices, one ``argmin`` per row for all of them, keeping
-each map with its instance.  Greedy runs on the GEMM distances, and one
-masked pass then checks that every row's pick beats the best column still
-free by more than twice the row's bound; an instance that fails on any row
-is run again on the kernel's ``sqdist``.  The held instances are then
-yielded, before the next one is taken from the stream
+distinct costs to ``solve_in_lockstep``, which keeps each solution with
+its cost, and, when the kinds include greedy, runs greedy on the batch's
+stacked LSS costs, one ``argmin`` per row for all of them, keeping each
+map with its instance.  Greedy runs on the GEMM distances, and one masked
+pass then checks that every row's pick beats the best column still free by
+more than twice the row's bound; an instance that fails on any row is run
+again on its cost's exact entries, the kernel's matrix.  The held
+instances are then yielded, before the next one is taken from the stream
 (``run_experiment``'s stream may have drawn it already; see the
 ``permatch.harness`` module docstring, *Draws*).  Every result still
-passes through ``estimate``: a kept solution through ``solve_hungarian``, which returns it without
-solving again, and a kept greedy map through ``estimate_greedy``, which
-builds its Permutation.  So the results are those of one instance at a
-time, and code that replaces either function, such as the benchmark's
-tracer or a test, sees every result.
+passes through ``estimate``: a kept solution through ``solve_hungarian``,
+which returns it without solving again, and a kept greedy map through
+``estimate_greedy``, which builds its Permutation.  So the results are
+those of one instance at a time, and code that replaces either function,
+such as the benchmark's tracer or a test, sees every result.
 """
 
 from __future__ import annotations
@@ -314,7 +317,8 @@ def _greedy_rows(stack: np.ndarray) -> np.ndarray:
     untaken column; ties go to the lowest index.  Row i of all B instances
     is one ``argmin`` of the row plus a (B, n1) mask that holds 0 on the
     untaken columns and +inf on the taken ones, so an untaken score is read
-    as it is (x + 0 = x) and ``stack`` is left unchanged.
+    as it is (x + 0 = x) and ``stack`` is left unchanged.  The scores must
+    be finite: an infinite one would read as a taken column.
     """
     count, _, width = stack.shape
     taken_mask = np.zeros((count, width))
@@ -329,7 +333,7 @@ def _greedy_rows(stack: np.ndarray) -> np.ndarray:
 
 
 # Key in a MatchInstance's __dict__ under which greedy's map is kept, as
-# cached_property keeps ``sqdist``.
+# cached_property keeps ``bounded_sqdist``.
 _GREEDY_KEY = "_greedy"
 
 
@@ -357,27 +361,34 @@ def _greedy_margins_hold(stack: np.ndarray, maps: np.ndarray, bounds: np.ndarray
     return (runner_up - picked > 2.0 * bounds[..., 0]).all(axis=1)
 
 
-def _keep_greedy(instances) -> None:
-    """Run greedy on the same-shape instances as one stack, and keep each map with its instance.
+def _checked_greedy(costs) -> np.ndarray:
+    """Greedy's maps of same-shape costs, run as one stack: a (B, n2) index array, the maps their exact entries give.
 
-    Greedy runs on the GEMM distances; an instance whose margins fail
-    ``_greedy_margins_hold`` runs again on the kernel's distances (one
-    more stack for all such instances of the batch).  An instance whose
-    distances are the kernel's passes with a bound of -inf.  The maps stay
-    index rows until ``estimate_greedy`` builds a Permutation.  Building
-    the Permutations here, while the batch's buffers are live, left a large
-    free block under a live chunk of the heap after every other homo-hd
-    sweep, and the benchmark's calibration spin reads that heap state
-    (ROADMAP item 1).
+    Greedy runs on the costs' entries; a cost whose margins fail
+    ``_greedy_margins_hold`` against its bound runs again on its exact
+    entries, ``cost.exact()`` (one more stack for all such costs).  A cost
+    with no bound is exact and passes with a bound of -inf.
     """
-    distances = [instance.bounded_sqdist for instance in instances]
-    stack = _stacked([d.values for d in distances])
+    stack = _stacked([cost.entries for cost in costs])
     maps = _greedy_rows(stack)
     unbounded = np.full((stack.shape[1], 1), -np.inf)
-    bounds = np.stack([unbounded if d.bound is None else d.bound for d in distances])
+    bounds = np.stack([unbounded if cost.bound is None else cost.bound for cost in costs])
     redo = (~_greedy_margins_hold(stack, maps, bounds)).nonzero()[0]
     if redo.size:
-        maps[redo] = _greedy_rows(_stacked([instances[b].sqdist for b in redo]))
+        maps[redo] = _greedy_rows(_stacked([costs[b].exact() for b in redo]))
+    return maps
+
+
+def _keep_greedy(instances) -> None:
+    """Run greedy on the same-shape instances' LSS costs as one stack, and keep each map with its instance.
+
+    The maps stay index rows until ``estimate_greedy`` builds a
+    Permutation.  Building the Permutations here, while the batch's
+    buffers are live, left a large free block under a live chunk of the
+    heap after every other homo-hd sweep, and the benchmark's calibration
+    spin reads that heap state (ROADMAP item 1).
+    """
+    maps = _checked_greedy([_kept_cost(instance, "lss") for instance in instances])
     for instance, mapping in zip(instances, maps):
         instance.__dict__[_GREEDY_KEY] = mapping
 
@@ -400,12 +411,37 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
     first-set feature i minimizing |mean squared coordinate gap / 2 - s_i^2|:
     under a correct match that gap estimates s_i^2.  Ties go to the
     smallest i.  Needs the first set's levels.
+
+    The scores s_ij = |c_ij / scale - v_j|, with scale = 2d and v_j the
+    j-th first-set variance, are a cost on the distances c, and greedy
+    runs on them as it runs on its own (``_checked_greedy``).  A score
+    rounds one quotient and one difference (u = 2^-53).  On GEMM distances
+    g within E_i of c, the two quotients differ by at most
+    (1 + u) E_i / scale + 2u g_ij / scale, and the two scores by at most
+    (1 + u) times that plus 2u / (1 - u) times the GEMM score.  The row
+    bound (1 + 4u) E_i / scale + 4u (max_j g_ij / scale + max_j s_ij)
+    covers both and its own rounding: a row with an entry left to the
+    expansion has a largest g above 2^20 E_i (``permatch.model.gemm_sqdist``),
+    and a row with none holds the kernel's entries, so its scores are exact.
     """
     if instance.first_noise is None:
         raise ValueError("variance-greedy needs known first-set noise levels")
-    levels = instance.first_noise.levels_for(instance.first.n)
-    scores = np.abs(instance.sqdist / (2.0 * instance.first.d) - levels[None, :] ** 2)
-    return Permutation(_greedy_rows(scores[None])[0], codomain=instance.first.n)
+    with np.errstate(over="ignore"):
+        variance = instance.first_noise.levels_for(instance.first.n) ** 2
+    if not np.isfinite(variance.max()):
+        raise ValueError("a first-set noise level overflows float64 when squared; rescale the features")
+    scale = 2.0 * instance.first.d
+    cost = _cost(
+        instance,
+        lambda sq, rows, cols: np.abs(sq / scale - variance[cols]),
+        lambda entries, distances: (
+            (1.0 + 4.0 * _UNIT_ROUNDOFF) * distances.bound / scale
+            + 4.0 * _UNIT_ROUNDOFF * (
+                distances.values.max(axis=1, keepdims=True) / scale + entries.max(axis=1, keepdims=True)
+            )
+        ),
+    )
+    return Permutation(_checked_greedy([cost])[0], codomain=instance.first.n)
 
 
 def _one_level_per_side(instance: MatchInstance) -> bool:
@@ -421,12 +457,14 @@ def _one_level_per_side(instance: MatchInstance) -> bool:
 # because solve_in_lockstep stacks a copy and gives it a search history,
 # plus one more copy of each distance matrix when greedy runs.  That copy
 # is its check's masked pass; a batch of several instances also stacks a
-# copy for greedy itself, after the lockstep has freed its two.
+# copy for greedy itself, after the lockstep has freed its two.  Greedy
+# runs on the LSS cost, so when no kind keeps that cost, greedy builds it
+# at the flush and each instance holds one more distance-sized matrix.
 _BATCH_BYTES = 32 * 2**20
 
 # Key in a MatchInstance's __dict__ under which _kept_cost keeps the
 # instance's assignment costs by estimator tag, as cached_property keeps
-# ``sqdist``; each cost in turn keeps its solution.
+# ``bounded_sqdist``; each cost in turn keeps its solution.
 _COSTS_KEY = "_assignment_costs"
 
 
@@ -474,10 +512,11 @@ def solve_together(instances, kinds):
             yield from _solve_held(held, costs, greedy)
             held, costs, held_bytes = [], [], 0
         kept = [cost for cost in dict.fromkeys(_kept_cost(instance, kind.tag) for kind in kinds) if cost is not None]
+        greedy_builds_lss = greedy and "lss" not in instance.__dict__.get(_COSTS_KEY, {})
         size = (
             instance.first.vectors.nbytes
             + instance.second.vectors.nbytes
-            + (1 + greedy) * instance.bounded_sqdist.values.nbytes
+            + (1 + greedy + greedy_builds_lss) * instance.bounded_sqdist.values.nbytes
             + 3 * sum(cost.entries.nbytes for cost in kept)
         )
         held.append(instance)

@@ -38,13 +38,13 @@ not small next to its value is recomputed by the kernel.  The GEMM runs in tiles
 OpenBLAS's threading threshold, so it never wakes a BLAS helper thread.
 Costs solve on these values and prove the result on exact entries (the
 ``permatch.estimators`` and ``permatch.assignment`` module docstrings).
-``MatchInstance.bounded_sqdist`` holds them for an instance, and
-``MatchInstance.sqdist``, the kernel's matrix, is computed only when read:
-by variance-greedy on every call, and by greedy when its margin check
-fails.  A cost whose certificate fails runs the kernel itself, and
-``permatch.metrics.separation`` runs it on template rows.  Both matrices
-are computed on first use and then shared by every estimator run on that
-instance.
+``MatchInstance.bounded_sqdist`` holds them for an instance, computed on
+first use and then shared by every estimator run on it.  The kernel's
+full matrix is built only where a check fails: by a cost whose
+certificate fails, or by greedy or variance-greedy when a margin check
+fails, each through ``CostMatrix.exact``.  ``gemm_sqdist`` returns it in
+place of the expansion where the expansion cannot serve, and
+``permatch.metrics.separation`` runs the kernel on template rows.
 """
 
 from __future__ import annotations
@@ -490,21 +490,12 @@ class MatchInstance:
                 raise ValueError("truth permutation shape does not match the instance")
 
     @cached_property
-    def sqdist(self) -> np.ndarray:
-        """Read-only squared distances from the exact kernel, entry (i, j) = ||first[j] - second[i]||^2.
+    def bounded_sqdist(self) -> BoundedSqdist:
+        """``gemm_sqdist`` of the instance's features: what every estimator's cost is built on.
 
         Computed on first access and kept; safe on the frozen instance
-        because both feature matrices are read-only.  Variance-greedy reads
-        it on every call; greedy reads it only when its margin check fails,
-        and the other estimators read ``bounded_sqdist``.
-        """
-        return _readonly(pairwise_sqdist(self.second.vectors, self.first.vectors))
-
-    @cached_property
-    def bounded_sqdist(self) -> BoundedSqdist:
-        """``gemm_sqdist`` of the instance's features: what its estimators solve on.
-
-        Computed on first access and kept, as ``sqdist`` is.
+        because both feature matrices are read-only.  No estimator reads
+        the kernel's full matrix unless a check on these distances fails.
         """
         return gemm_sqdist(self.second.vectors, self.first.vectors)
 

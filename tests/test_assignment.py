@@ -13,6 +13,7 @@ from permatch import (
     certify,
     cost_lsl,
     generate_instance,
+    pairwise_sqdist,
     random_permutation,
     solve_bruteforce,
     solve_hungarian,
@@ -311,6 +312,12 @@ _SOLVER_PINS = {
 }
 
 
+def _exact_lsl(inst) -> CostMatrix:
+    """LSL's cost on the exact kernel's distances, with no bound."""
+    distances = pairwise_sqdist(inst.second.vectors, inst.first.vectors)
+    return CostMatrix(np.log(np.maximum(distances, DEFAULT_SQDIST_FLOOR)))
+
+
 def test_pinned_lsl_instance_solves_to_its_pin_on_bounded_gemm_costs():
     # The lsl-50x50 pin's instance through cost_lsl: GEMM entries within
     # their row bounds of the kernel's, and a certified solve that finds
@@ -319,7 +326,7 @@ def test_pinned_lsl_instance_solves_to_its_pin_on_bounded_gemm_costs():
     truth = random_permutation(np.random.default_rng(6), 50)
     inst = generate_instance(theta, NoiseSpec.homoscedastic(1.0), truth, 7)
     cost = cost_lsl(inst)
-    exact = CostMatrix(np.log(np.maximum(inst.sqdist, DEFAULT_SQDIST_FLOOR)))
+    exact = _exact_lsl(inst)
     assert cost.bound is not None
     assert np.all(np.abs(cost.entries - exact.entries) <= cost.bound)
     sol = solve_hungarian(cost)
@@ -460,7 +467,7 @@ def test_failed_bounded_certificate_solves_the_exact_matrix(monkeypatch):
         uniform_box_features(30, 10, 2.0, seed=3), NoiseSpec.homoscedastic(1.0),
         random_permutation(np.random.default_rng(4), 30), seed=5,
     )
-    exact = solve_hungarian(CostMatrix(np.log(np.maximum(inst.sqdist, DEFAULT_SQDIST_FLOOR))))
+    exact = solve_hungarian(_exact_lsl(inst))
     monkeypatch.setattr(assignment, "_certified", lambda cost, u, v, col_of: None)
     fallback = solve_hungarian(cost_lsl(inst))
     assert _bits(fallback) == _bits(exact) and fallback.total_cost == exact.total_cost

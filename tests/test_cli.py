@@ -123,6 +123,19 @@ def test_match_overflowing_distances_is_named(estimator, tmp_path, capsys):
     assert capsys.readouterr().err == "error: squared distances overflow float64; rescale the features\n"
 
 
+def test_match_overflowing_level_in_variance_greedy_is_named(tmp_path, capsys):
+    # A sigma of 1e200 squares to inf, which greedy would read as a taken
+    # column: the error names the overflow, and no numpy warning escapes.
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    features = FeatureSet(np.arange(6.0)[:, None])
+    write_features_csv(first, features, NoiseSpec.heteroscedastic([1e200, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    write_features_csv(second, features, NoiseSpec.homoscedastic(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["match", str(first), str(second), "--estimator", "variance-greedy"]) == 1
+    assert capsys.readouterr().err == "error: a first-set noise level overflows float64 when squared; rescale the features\n"
+
+
 _MATCH_NEEDS_LEVELS = {
     "lsns": "this estimator needs known noise levels on both sides",
     "variance-greedy": "variance-greedy needs known first-set noise levels",

@@ -53,6 +53,11 @@ def _manual_instance(first, second, first_levels=None, second_levels=None):
     )
 
 
+def _kernel_sqdist(inst):
+    """The exact kernel's distances of the instance, which every exact entry and fallback reads."""
+    return pairwise_sqdist(inst.second.vectors, inst.first.vectors)
+
+
 # ------------------------------------------------------------- cost matrices
 
 def test_cost_lss_orientation():
@@ -77,7 +82,7 @@ def test_cost_lss_matches_naive_double_loop():
         _manual_instance(rng.normal(size=(50, 50)), rng.normal(size=(47, 50))),
     ]
     for inst in cases:
-        entries = inst.sqdist  # the kernel, which every exact entry and fallback reads
+        entries = _kernel_sqdist(inst)
         for i in range(inst.second.n):
             for j in range(inst.first.n):
                 diff = inst.first.vectors[j] - inst.second.vectors[i]
@@ -119,11 +124,11 @@ def test_cost_lsl_composition_and_floor():
     np.testing.assert_allclose(
         cost_lsl(inst).entries, np.log(cost_lss(inst).entries), rtol=1e-14
     )
-    cost, exact = cost_lsl(inst), np.log(inst.sqdist)
+    cost, exact = cost_lsl(inst), np.log(_kernel_sqdist(inst))
     assert cost.exact().tobytes() == exact.tobytes()
     assert np.all(np.abs(cost.entries - exact) <= cost.bound)
     coincident = _manual_instance([[1.0, 2.0], [5.0, 5.0]], [[1.0, 2.0], [4.0, 4.0]])
-    assert coincident.sqdist[0, 0] == 0.0
+    assert _kernel_sqdist(coincident)[0, 0] == 0.0
     entries = cost_lsl(coincident).entries
     assert entries[0, 0] == math.log(1e-30)  # the pair is recomputed by the kernel, so it reads the floor
     assert entries[0, 0] < entries.min(initial=0.0) + 1e-9  # the floor is the smallest value
@@ -145,23 +150,47 @@ def _hard_instances():
     yield "integer-ties", _manual_instance(ties, ties[perm[:24]], levels, levels[perm[:24]])
 
 
+def _checked_greedy_costs(monkeypatch):
+    """Record every cost greedy's checked path runs on, in call order."""
+    from permatch import estimators
+
+    costs = []
+    checked = estimators._checked_greedy
+
+    def recorded(batch):
+        costs.extend(batch)
+        return checked(batch)
+
+    monkeypatch.setattr(estimators, "_checked_greedy", recorded)
+    return costs
+
+
 @pytest.mark.parametrize("name", [name for name, _ in _hard_instances()])
 def test_hard_inputs_give_the_exact_paths_results(name, monkeypatch):
     from permatch import model
 
     inst = dict(_hard_instances())[name]
-    normal = {kind.tag: estimate(inst, kind) for kind in (GREEDY, LSS, LSNS, LSL)}
+    kinds = (GREEDY, LSS, LSNS, LSL, VARIANCE_GREEDY)
+    costs = _checked_greedy_costs(monkeypatch)
+    normal = {kind.tag: estimate(inst, kind) for kind in kinds}
+    # variance-greedy's scores, last to reach greedy, are within their row bounds of the kernel's
+    scores = np.abs(_kernel_sqdist(inst) / (2.0 * inst.first.d) - inst.first_noise.levels**2)
+    assert (costs[-1].bound is None) == (name == "offset-1e6")
     if name == "offset-1e6":
         assert inst.bounded_sqdist.bound is None  # the kernel's matrix itself
+        assert costs[-1].entries.tobytes() == scores.tobytes()
+    else:
+        assert np.all(np.abs(costs[-1].entries - scores) <= costs[-1].bound)
+        assert costs[-1].exact().tobytes() == scores.tobytes()
     if name == "duplicated":
-        rows, cols = (inst.sqdist == 0.0).nonzero()
+        rows, cols = (_kernel_sqdist(inst) == 0.0).nonzero()
         assert rows.tolist() == list(range(0, 30, 3))
         assert (cost_lsl(inst).entries[rows, cols] == math.log(DEFAULT_SQDIST_FLOOR)).all()
         assert (normal["lsl"].map[rows] == cols).all()
     monkeypatch.setattr(model, "gemm_sqdist", lambda second, first: model.BoundedSqdist(pairwise_sqdist(second, first)))
     exact = _manual_instance(inst.first.vectors, inst.second.vectors, inst.first_noise.levels, inst.second_noise.levels)
     assert exact.bounded_sqdist.bound is None
-    for kind in (GREEDY, LSS, LSNS, LSL):
+    for kind in kinds:
         assert estimate(exact, kind) == normal[kind.tag], kind.tag
 
 
@@ -461,7 +490,7 @@ def test_batched_greedy_is_bit_for_bit_the_one_instance_loop(count, n, m, d, tie
 
     instances = _greedy_draws(count, n, m, d, seed=count + n + m, ties=ties)
     if ties:  # integer coordinates in {0, 1, 2}: rows repeat distances, and the lowest index must win
-        assert sum(np.unique(row).size < m for inst in instances for row in inst.sqdist) > count * n // 2
+        assert sum(np.unique(row).size < m for inst in instances for row in _kernel_sqdist(inst)) > count * n // 2
         instances[0] = _manual_instance(np.zeros((m, d)), np.zeros((n, d)))  # every entry ties
     stacks = _greedy_stacks(monkeypatch)
     assert list(solve_together(instances, (GREEDY, LSS))) == instances
@@ -472,7 +501,7 @@ def test_batched_greedy_is_bit_for_bit_the_one_instance_loop(count, n, m, d, tie
     assert stacks == [(count, n, m)] + [(redone, n, m)] * (redone > 0)
     del stacks[:]
     for inst in instances:
-        expected = _greedy_one_instance(inst.sqdist)
+        expected = _greedy_one_instance(_kernel_sqdist(inst))
         assert estimate(inst, GREEDY).map.tolist() == expected
         alone = _manual_instance(inst.first.vectors, inst.second.vectors)
         assert estimate_greedy(alone) == Permutation(expected, codomain=m)
@@ -501,25 +530,36 @@ def _tied_margins(instances) -> int:
 
 
 def test_greedy_reruns_on_the_kernel_where_margins_fail(monkeypatch):
-    # Forcing every bound to +inf fails every margin: each instance's map then
-    # comes from a second stack of the kernel's distances, and equals it.
+    # A bound of 1e300 fails every margin but that of a last row with no
+    # column left free: each map then comes from a second stack of the
+    # exact entries, and equals greedy on them, for greedy and for
+    # variance-greedy alike.
     from permatch import model
     from permatch.estimators import solve_together
 
-    instances = _greedy_draws(9, 50, 50, 50, seed=3)
-    expected = [_greedy_one_instance(inst.sqdist) for inst in instances]
+    rng = np.random.default_rng(3)
+    levels = [rng.choice([0.5, 1.0, 1.5], size=50) for _ in range(9)]
+    forced = [_manual_instance(inst.first.vectors, inst.second.vectors, first_levels=lv)
+              for inst, lv in zip(_greedy_draws(9, 50, 50, 50, seed=3), levels)]
+    expected = [_greedy_one_instance(_kernel_sqdist(inst)) for inst in forced]
+    expected_by_levels = [
+        _greedy_one_instance(np.abs(_kernel_sqdist(inst) / (2.0 * inst.first.d) - lv**2))
+        for inst, lv in zip(forced, levels)
+    ]
     gemm = model.gemm_sqdist
 
-    def unbounded(second, first):
+    def loose(second, first):
         distances = gemm(second, first)
-        return model.BoundedSqdist(distances.values, np.full_like(distances.bound, np.inf), distances.lows)
+        return model.BoundedSqdist(distances.values, np.full_like(distances.bound, 1e300), distances.lows)
 
-    monkeypatch.setattr(model, "gemm_sqdist", unbounded)
-    forced = [_manual_instance(inst.first.vectors, inst.second.vectors) for inst in instances]
+    monkeypatch.setattr(model, "gemm_sqdist", loose)  # the instances' distances are built on first use, below
     stacks = _greedy_stacks(monkeypatch)
     assert list(solve_together(forced, (GREEDY,))) == forced
     assert stacks == [(9, 50, 50), (9, 50, 50)]
     assert [estimate_greedy(inst).map.tolist() for inst in forced] == expected
+    del stacks[:]
+    assert [estimate_variance_greedy(inst).map.tolist() for inst in forced] == expected_by_levels
+    assert stacks == [(1, 50, 50)] * 18
 
 
 def test_batched_greedy_flushes_at_a_shape_change(monkeypatch):
@@ -530,7 +570,7 @@ def test_batched_greedy_flushes_at_a_shape_change(monkeypatch):
     assert list(solve_together(instances, (GREEDY,))) == instances
     assert stacks == [(7, 8, 8), (5, 9, 9)]
     for inst in instances:
-        assert estimate_greedy(inst).map.tolist() == _greedy_one_instance(inst.sqdist)
+        assert estimate_greedy(inst).map.tolist() == _greedy_one_instance(_kernel_sqdist(inst))
     assert len(stacks) == 2  # every result was kept
 
 
@@ -553,7 +593,7 @@ def test_variance_greedy_is_the_one_instance_loop_on_its_scores(n, m):
         for inst in _greedy_draws(4, n, m, 3, seed=n + m, ties=ties):
             levels = rng.choice([0.5, 1.0, 1.5], size=m)
             inst = _manual_instance(inst.first.vectors, inst.second.vectors, first_levels=levels)
-            scores = np.abs(inst.sqdist / (2.0 * inst.first.d) - levels[None, :] ** 2)
+            scores = np.abs(_kernel_sqdist(inst) / (2.0 * inst.first.d) - levels[None, :] ** 2)
             assert estimate_variance_greedy(inst) == Permutation(_greedy_one_instance(scores), codomain=m)
 
 
@@ -697,7 +737,7 @@ def test_identity_reduction_halves_the_distances(n, m, d):
     rng = np.random.default_rng(n * m + d)
     inst = _manual_instance(rng.normal(size=(m, d)), rng.normal(size=(n, d)))
     reduced = reduce_criterion(np.eye(d), np.eye(d)).apply(inst)
-    np.testing.assert_allclose(reduced.sqdist, inst.sqdist / 2, rtol=1e-13)
+    np.testing.assert_allclose(_kernel_sqdist(reduced), _kernel_sqdist(inst) / 2, rtol=1e-13)
     for kind in (GREEDY, LSS, LSL):
         assert estimate(reduced, kind) == estimate(inst, kind)
 

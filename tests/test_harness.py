@@ -102,8 +102,9 @@ def test_run_experiment_deterministic():
 
 
 def test_distance_matrix_built_once_per_instance(monkeypatch):
-    # One GEMM distance build per instance, shared by every estimator; the
-    # exact kernel does not run, since every certificate and margin holds.
+    # One GEMM distance build per instance, shared by every estimator,
+    # variance-greedy included; the exact kernel does not run, since every
+    # certificate and margin holds.
     from permatch import estimators, model
 
     calls, kernel_calls = [], []
@@ -118,7 +119,7 @@ def test_distance_matrix_built_once_per_instance(monkeypatch):
     monkeypatch.setattr(model, "gemm_sqdist", counted(model.gemm_sqdist, calls))
     monkeypatch.setattr(model, "pairwise_sqdist", counted(model.pairwise_sqdist, kernel_calls))
     monkeypatch.setattr(estimators, "pairwise_sqdist", counted(estimators.pairwise_sqdist, kernel_calls))
-    kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl"))
+    kinds = tuple(EstimatorKind(tag) for tag in ("greedy", "lss", "lsns", "lsl", "variance-greedy"))
     config = _config(estimators=kinds)
     records = run_experiment(config)
     assert len(records) == len(config.sweep) * config.trials * len(kinds)
@@ -289,6 +290,23 @@ def test_records_equal_one_instance_at_a_time_across_batches(monkeypatch):
     assert run_experiment(config) == expected
     assert sizes == [18, 18]
     assert greedy == [1, 1] * 20
+
+
+# What one instance of _config(estimators=(greedy,)) holds in solve_together:
+# two 8 x 6 feature sets, 8 x 8 distances, their copy in greedy's check and
+# the LSS cost greedy runs on, which no kind keeps.
+_GREEDY_INSTANCE_BYTES = 8 * (2 * 8 * 6 + 3 * 8 * 8)
+
+
+def test_greedy_only_batches_count_the_lss_cost_greedy_holds(monkeypatch):
+    from permatch import estimators
+
+    config = _config(estimators=(EstimatorKind("greedy"),), trials=10)
+    expected = _one_instance_at_a_time(config)
+    greedy = _greedy_stack_sizes(monkeypatch)
+    monkeypatch.setattr(estimators, "_BATCH_BYTES", 9 * _GREEDY_INSTANCE_BYTES)
+    assert run_experiment(config) == expected
+    assert greedy == [9, 9, 2]
 
 
 def test_solve_together_draws_no_instance_past_the_batch_it_yields(monkeypatch):

@@ -422,17 +422,19 @@ def test_match_instance_validation():
         MatchInstance(first=big, second=small, truth=Permutation.identity(2))
 
 
-def test_match_instance_sqdist_is_read_only_and_cached():
+def test_match_instance_bounded_sqdist_is_read_only_and_cached():
     inst = MatchInstance(
         first=FeatureSet([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]),
         second=FeatureSet([[0.0, 0.0], [1.0, 0.0]]),
     )
-    sq = inst.sqdist
-    np.testing.assert_array_equal(sq, [[0.0, 25.0, 2.0], [1.0, 20.0, 1.0]])
-    assert inst.sqdist is sq
-    assert not sq.flags.writeable
-    with pytest.raises(ValueError):
-        sq[0, 0] = 1.0
+    distances = inst.bounded_sqdist
+    np.testing.assert_array_equal(distances.values, [[0.0, 25.0, 2.0], [1.0, 20.0, 1.0]])
+    assert inst.bounded_sqdist is distances
+    assert distances.bound is not None and distances.lows is not None  # the GEMM expansion, not the kernel
+    for array in (distances.values, distances.bound, distances.lows):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
 
 
 def _sqdist_per_row(second, first):
