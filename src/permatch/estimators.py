@@ -63,22 +63,30 @@ while a freshly drawn instance's features are still in cache, and holds
 the instance.  The held batch flushes when one more instance like the last
 would take the held bytes past ``_BATCH_BYTES`` (32 MiB, counted from what
 each instance holds), when an instance of another shape arrives (a batch
-holds one shape), and at the end of the stream.  A flush hands the batch's
-distinct costs to ``solve_in_lockstep``, which keeps each solution with
-its cost, and, when the kinds include greedy, runs greedy on the batch's
-stacked LSS costs, one ``argmin`` per row for all of them, keeping each
-map with its instance.  Greedy runs on the GEMM distances, and one masked
-pass then checks that every row's pick beats the best column still free by
-more than twice the row's bound; an instance that fails on any row is run
-again on its cost's exact entries, the kernel's matrix.  The held
-instances are then yielded, before the next one is taken from the stream
-(``run_experiment``'s stream may have drawn it already; see the
-``permatch.harness`` module docstring, *Draws*).  Every result still
-passes through ``estimate``: a kept solution through ``solve_hungarian``,
-which returns it without solving again, and a kept greedy map through
-``estimate_greedy``, which builds its Permutation.  So the results are
-those of one instance at a time, and code that replaces either function,
-such as the benchmark's tracer or a test, sees every result.
+holds one shape), and at the end of the stream.  A wide instance, one
+whose two feature matrices hold at least ``_WIDE_MIN`` floats, is a batch
+of its own: the held batch flushes before it, and it flushes as soon as
+its costs are built.  ``run_experiment`` draws wide instances one ahead on
+a worker thread (``permatch.harness``, *Draws*), so the caller's solve,
+certificate, greedy and losses for one wide instance run while the worker
+draws the next; a batch of several would hold its solves until its last
+instance was drawn, and only the cost builds would overlap the draws.
+
+A flush hands the batch's distinct costs to ``solve_in_lockstep``, which
+keeps each solution with its cost, and, when the kinds include greedy,
+runs greedy on the batch's stacked LSS costs, one ``argmin`` per row for
+all of them, keeping each map with its instance.  Greedy runs on the GEMM
+distances, and one masked pass then checks that every row's pick beats the
+best column still free by more than twice the row's bound; an instance
+that fails on any row is run again on its cost's exact entries, the
+kernel's matrix.  The held instances are then yielded, before the next one
+is taken from the stream (``run_experiment``'s worker may be drawing it
+already).  Every result still passes through ``estimate``: a kept solution
+through ``solve_hungarian``, which returns it without solving again, and a
+kept greedy map through ``estimate_greedy``, which builds its Permutation.
+So the results are those of one instance at a time, and code that replaces
+either function, such as the benchmark's tracer or a test, sees every
+result.
 """
 
 from __future__ import annotations
@@ -210,13 +218,13 @@ def cost_lss(instance: MatchInstance) -> CostMatrix:
     return _cost(instance, lambda sq, rows, cols: sq, lambda entries, distances: distances.bound)
 
 
-def _instance_levels(instance: MatchInstance) -> tuple[np.ndarray, np.ndarray]:
-    if instance.first_noise is None or instance.second_noise is None:
-        raise ValueError("this estimator needs known noise levels on both sides")
-    return (
-        instance.first_noise.levels_for(instance.first.n),
-        instance.second_noise.levels_for(instance.second.n),
-    )
+def _variances(noise, count: int, side: str) -> np.ndarray:
+    """The ``count`` noise levels squared; a ValueError names a square that overflows float64."""
+    with np.errstate(over="ignore"):
+        variance = noise.levels_for(count) ** 2
+    if not np.isfinite(variance.max()):
+        raise ValueError(f"a {side} noise level overflows float64 when squared; rescale the features")
+    return variance
 
 
 def cost_lsns(instance: MatchInstance) -> CostMatrix:
@@ -227,8 +235,14 @@ def cost_lsns(instance: MatchInstance) -> CostMatrix:
     row, the row's distance bound over its smallest divisor plus 4u times
     its largest entry (u = 2^-53).
     """
-    first_levels, second_levels = _instance_levels(instance)
-    first_var, second_var = first_levels**2, second_levels**2
+    if instance.first_noise is None or instance.second_noise is None:
+        raise ValueError("this estimator needs known noise levels on both sides")
+    first_var = _variances(instance.first_noise, instance.first.n, "first-set")
+    second_var = _variances(instance.second_noise, instance.second.n, "second-set")
+    with np.errstate(over="ignore"):
+        largest = first_var.max() + second_var.max()
+    if not np.isfinite(largest):
+        raise ValueError("summed noise variances overflow float64; rescale the features")
     return _cost(
         instance,
         lambda sq, rows, cols: sq / (first_var[cols] + second_var[rows]),
@@ -426,10 +440,7 @@ def estimate_variance_greedy(instance: MatchInstance) -> Permutation:
     """
     if instance.first_noise is None:
         raise ValueError("variance-greedy needs known first-set noise levels")
-    with np.errstate(over="ignore"):
-        variance = instance.first_noise.levels_for(instance.first.n) ** 2
-    if not np.isfinite(variance.max()):
-        raise ValueError("a first-set noise level overflows float64 when squared; rescale the features")
+    variance = _variances(instance.first_noise, instance.first.n, "first-set")
     scale = 2.0 * instance.first.d
     cost = _cost(
         instance,
@@ -461,6 +472,19 @@ def _one_level_per_side(instance: MatchInstance) -> bool:
 # runs on the LSS cost, so when no kind keeps that cost, greedy builds it
 # at the flush and each instance holds one more distance-sized matrix.
 _BATCH_BYTES = 32 * 2**20
+
+# Instances whose two feature matrices hold at least this many floats (two
+# 100 x 2000 matrices) are wide: ``permatch.harness`` draws them one ahead
+# on a worker thread, and ``solve_together`` makes each a batch of its own
+# (the module docstring, *Solve-ahead*).  ``_is_wide`` reads it at call
+# time; the ``permatch.harness`` module docstring, *Draws*, gives the scan.
+_WIDE_MIN = 400_000
+
+
+def _is_wide(instance: MatchInstance) -> bool:
+    """Whether the instance's two feature matrices hold at least ``_WIDE_MIN`` floats."""
+    return instance.first.vectors.size + instance.second.vectors.size >= _WIDE_MIN
+
 
 # Key in a MatchInstance's __dict__ under which _kept_cost keeps the
 # instance's assignment costs by estimator tag, as cached_property keeps
@@ -508,7 +532,8 @@ def solve_together(instances, kinds):
     greedy = GREEDY in kinds
     held, costs, held_bytes = [], [], 0
     for instance in instances:
-        if held and (instance.second.n, instance.first.n) != (held[-1].second.n, held[-1].first.n):
+        wide = _is_wide(instance)
+        if held and (wide or (instance.second.n, instance.first.n) != (held[-1].second.n, held[-1].first.n)):
             yield from _solve_held(held, costs, greedy)
             held, costs, held_bytes = [], [], 0
         kept = [cost for cost in dict.fromkeys(_kept_cost(instance, kind.tag) for kind in kinds) if cost is not None]
@@ -522,7 +547,7 @@ def solve_together(instances, kinds):
         held.append(instance)
         costs += kept
         held_bytes += size
-        if held_bytes + size > _BATCH_BYTES:
+        if wide or held_bytes + size > _BATCH_BYTES:
             yield from _solve_held(held, costs, greedy)
             held, costs, held_bytes = [], [], 0
     yield from _solve_held(held, costs, greedy)

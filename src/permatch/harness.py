@@ -15,35 +15,42 @@ ahead and why the records equal those of one instance at a time.
 
 Draws
 -----
-Trial 0 is drawn on the calling thread.  If its two feature matrices hold
-at least ``_PREFETCH_MIN`` floats (two 100 x 500 matrices), every later
-trial is drawn one ahead on a single worker thread: while the caller builds
-trial t's distances and costs, solves and scores it, the worker runs
-``_build_trial`` for trial t + 1 (templates, truth and noise) and nothing
-else.  A draw is mostly scalar libm work (``log``, ``cos``, ``sin``) and the
-distance build is BLAS work on the calling thread, and numpy releases the
-GIL in both, so on two cores they overlap.  The gate was scanned when the
-distances came from the exact kernel (``permatch.model``, *Distances*).  Each trial's streams are its own, so every
-record and output byte is that of an inline run.  A draw that raises does
-so when its trial is reached, with the same exception; the worker is
-joined when the run returns or raises.  Smaller draws stay inline, on
-the calling thread: there the hand-off costs more than it hides.  The gate
-reads the drawn instance rather than ``config.n`` because
-greedy-adversarial draws 2 x d whatever n says.
+Trial 0 is drawn on the calling thread.  If it is wide, that is, if its
+two feature matrices hold at least ``permatch.estimators._WIDE_MIN``
+floats (two 100 x 2000 matrices), every later trial is drawn one ahead on
+a single worker thread, which runs ``_build_trial`` for trial t + 1
+(templates, truth and noise) and nothing else.  ``solve_together`` makes
+each wide instance a batch of its own, solved as it arrives, so while the
+worker draws trial t + 1 the calling thread does all of trial t: its
+distances and costs, the solve and its certificate, greedy and the
+losses.  A draw is mostly scalar libm work (``log``, ``cos``, ``sin``) in
+which numpy releases the GIL, so on two cores it overlaps that work.  Each
+trial's streams are its own, so every record and output byte is that of
+an inline run.  A draw that raises does so when its trial is reached, with
+the same exception; the worker is joined when the run returns or raises.
+Narrower draws stay inline, on the calling thread, and are solved in
+``solve_together``'s byte-counted batches, which the scan below found
+faster there.  The gate reads the drawn instance rather than ``config.n``
+because greedy-adversarial draws 2 x d whatever n says.
 
-The gate comes from a scan of ``run_experiment`` with the worker forced on
-and off, uniform-homoscedastic, all four estimators, 4 trials per sweep
-value, after 30-40 s of load (a shared 2-vCPU VM hands out its second
-core only under sustained load).  Time with the worker over time without,
-per repeat, in two scans of 5 and 9 repeats:
+The gate comes from a scan of ``run_experiment`` with the gate at 0 (every
+trial after the first drawn on the worker and solved as it arrives) and at
+2**62 (all drawn inline, solved in batches), uniform-homoscedastic, all
+four estimators, sweep 1.4, 1.9, 2.4, 2.9, 3.5, 4 trials per sweep value,
+after 40 s of load (a shared 2-vCPU VM hands out its second core only
+under sustained load).  A repeat times three runs per side, interleaved.
+Time with the worker over time without, per repeat, in two scans of 7 and
+9 repeats:
 
-- 50 x 50: 1.04-1.34 and 0.97-1.26 (inline wins)
-- 100 x 100: 0.85-0.97 and 0.87-1.01
-- 200 x 200: 0.84-0.90 and 0.80-1.03
-- 100 x 500: 0.78-0.82 and 0.66-0.84
-- 100 x 2000: 0.61-0.64 and 0.66-0.71
+- 50 x 50: 2.45-3.13 and 2.38-3.06 (inline wins)
+- 100 x 100: 2.03-2.42 and 2.08-2.49
+- 200 x 200: 1.24-1.40 and 1.21-1.47
+- 100 x 500: 1.02-1.21 and 0.99-1.21
+- 100 x 2000: 0.86-1.03 and 0.80-1.11 (medians 0.93 and 0.90)
 
-100 x 500 is the smallest size at which the worker won on every repeat.
+No size won every repeat on that VM.  100 x 2000 won 13 of 16 and is the
+only scanned size whose median gained, so it is the gate; 100 x 500 won 1
+of 16.
 
 Scenarios
 ---------
@@ -82,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .estimators import GREEDY, LSL, LSNS, LSS, EstimatorKind, estimate, solve_together
+from .estimators import GREEDY, LSL, LSNS, LSS, EstimatorKind, _is_wide, estimate, solve_together
 from .metrics import SeparationReport, loss_01, loss_hamming, separation, separation_threshold
 
 __all__ = [
@@ -110,11 +117,6 @@ _SCENARIO_SPECS = {
 }
 SWEEP_LABELS = {scenario: label for scenario, (label, _) in _SCENARIO_SPECS.items()}
 SCENARIOS = tuple(SWEEP_LABELS)
-
-# Trials whose two feature matrices hold at least this many floats (two
-# 100 x 500 matrices) are drawn one ahead on a worker thread; see the module
-# docstring, *Draws*.
-_PREFETCH_MIN = 100_000
 
 # How a trial's random streams derive from (config seed, sweep index, trial
 # index); a run manifest records this name.
@@ -270,7 +272,7 @@ def _draws(config: ExperimentConfig, cells):
         for index, value, trial in cells
     )
     instance = next(builds)()
-    if instance.first.vectors.size + instance.second.vectors.size < _PREFETCH_MIN:
+    if not _is_wide(instance):
         yield instance
         for build in builds:
             yield build()

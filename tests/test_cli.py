@@ -136,6 +136,31 @@ def test_match_overflowing_level_in_variance_greedy_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: a first-set noise level overflows float64 when squared; rescale the features\n"
 
 
+_HUGE = NoiseSpec.heteroscedastic([1e200, 1.0, 1.0, 1.0, 1.0, 1.0])
+_UNIT = NoiseSpec.homoscedastic(1.0)
+
+
+@pytest.mark.parametrize(
+    "first_noise, second_noise, message",
+    [
+        (_HUGE, _UNIT, "a first-set noise level overflows float64 when squared"),
+        (_UNIT, _HUGE, "a second-set noise level overflows float64 when squared"),
+        # each square is finite, their sum is not
+        (NoiseSpec.homoscedastic(1e154), NoiseSpec.heteroscedastic([1e154] * 6),
+         "summed noise variances overflow float64"),
+    ],
+)
+def test_match_overflowing_level_in_lsns_is_named(first_noise, second_noise, message, tmp_path, capsys):
+    # An infinite divisor would read every cost of its column as 0: the
+    # error names the overflow, and nothing else reaches stderr.
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    features = FeatureSet(np.arange(6.0)[:, None])
+    write_features_csv(first, features, first_noise)
+    write_features_csv(second, features, second_noise)
+    assert main(["match", str(first), str(second), "--estimator", "lsns"]) == 1
+    assert capsys.readouterr().err == f"error: {message}; rescale the features\n"
+
+
 _MATCH_NEEDS_LEVELS = {
     "lsns": "this estimator needs known noise levels on both sides",
     "variance-greedy": "variance-greedy needs known first-set noise levels",

@@ -347,6 +347,97 @@ def test_solve_together_solves_the_held_batch_when_the_shape_changes(monkeypatch
     assert sizes == [20, 20]
 
 
+def _batch_events(monkeypatch, events):
+    """Log each batch solve_together hands over: ("solve", its costs) and ("greedy", its instances)."""
+    from permatch import estimators
+
+    solve, keep_greedy = estimators.solve_in_lockstep, estimators._keep_greedy
+
+    def solving(costs):
+        events.append(("solve", len(costs)))
+        solve(costs)
+
+    def greedy(instances):
+        events.append(("greedy", len(instances)))
+        keep_greedy(instances)
+
+    monkeypatch.setattr(estimators, "solve_in_lockstep", solving)
+    monkeypatch.setattr(estimators, "_keep_greedy", greedy)
+
+
+def test_a_wide_instance_is_a_batch_of_its_own(monkeypatch):
+    # 8 x 6 features are narrow and 8 x 12 wide under a gate of 150 floats;
+    # both give 8 x 8 costs.  The narrow batch held when a wide instance
+    # arrives is solved first, and each wide instance is solved and yielded
+    # before the next is drawn.
+    from permatch import estimators, harness
+
+    monkeypatch.setattr(estimators, "_WIDE_MIN", 150)
+    events, drawn = [], []
+    _batch_events(monkeypatch, events)
+
+    def draws():
+        for trial, d in enumerate((6, 6, 6, 12, 12, 6, 6, 6)):
+            config = _config(d=d)
+            drawn.append(d)
+            yield harness._build_trial(config, 2.0, harness._trial_streams(config.seed, 0, trial))
+
+    def records(instances):
+        return [(estimate(instance, kind), instance.truth) for instance in instances for kind in _ALL_KINDS]
+
+    # how many instances had been drawn when each one was yielded
+    assert [len(drawn) for _ in estimators.solve_together(draws(), _ALL_KINDS)] == [4, 4, 4, 4, 5, 8, 8, 8]
+    # an LSS and an LSL cost per instance
+    assert events == [("solve", 6), ("greedy", 3)] + [("solve", 2), ("greedy", 1)] * 2 + [("solve", 6), ("greedy", 3)]
+    drawn.clear()
+    assert records(estimators.solve_together(draws(), _ALL_KINDS)) == records(draws())
+
+
+def test_a_wide_trial_is_solved_while_the_worker_draws_the_next(monkeypatch):
+    # Trial t + 1's draw goes to the worker before trial t's costs are
+    # solved, greedy runs and its estimates are scored, and the worker's
+    # result is taken only after that, so the two overlap.
+    import concurrent.futures
+
+    from permatch import estimators, harness
+
+    config = _config(d=estimators._WIDE_MIN // 16, trials=3)  # two 8 x d matrices: wide
+    trials = {harness._trial_streams(config.seed, index, trial): index * config.trials + trial
+              for index in range(len(config.sweep)) for trial in range(config.trials)}
+    events, threads, instances = [], {}, {}
+    _batch_events(monkeypatch, events)
+    build, submit, score = harness._build_trial, concurrent.futures.ThreadPoolExecutor.submit, harness.estimate
+
+    def fake_build(config, value, seeds):
+        threads[trials[seeds]] = threading.get_ident()
+        instance = build(config, value, seeds)
+        instances[id(instance)] = trials[seeds]
+        return instance
+
+    def submitting(self, fn, *args):
+        events.append(("submit", trials[fn.args[2]]))
+        return submit(self, fn, *args)
+
+    def scoring(instance, kind):
+        events.append(("estimate", instances[id(instance)]))
+        return score(instance, kind)
+
+    monkeypatch.setattr(harness, "_build_trial", fake_build)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", submitting)
+    monkeypatch.setattr(harness, "estimate", scoring)
+    run_experiment(config)
+    count = len(trials)
+    expected = []
+    for trial in range(count):
+        expected += [("submit", trial + 1)] * (trial + 1 < count)
+        expected += [("solve", 1), ("greedy", 1)] + [("estimate", trial)] * len(config.estimators)
+    assert events == expected
+    # trial 0 is drawn here, every later trial on one worker
+    main = threading.get_ident()
+    workers = {threads[trial] for trial in range(1, count)}
+    assert threads[0] == main and len(workers) == 1 and main not in workers
+
+
 def test_distinct_seeds_share_no_trial():
     # A trial's realized template separation identifies its template draw.
     # Seeding each trial by seed XOR trial index would replay seed 0's
@@ -371,12 +462,12 @@ def test_records_carry_seed_and_global_index():
 
 # ------------------------------------------------------ draws on a worker thread
 
-_INLINE = 2**62  # a _PREFETCH_MIN no draw reaches
+_INLINE = 2**62  # a _WIDE_MIN no draw reaches
 
 
 @pytest.mark.parametrize("scenario, overrides", _SCENARIO_CASES)
 def test_draws_on_the_worker_give_the_inline_records_and_bytes(scenario, overrides, monkeypatch, tmp_path):
-    from permatch import harness
+    from permatch import estimators, harness
 
     config = _config(scenario=scenario, estimators=_ALL_KINDS, trials=4, **overrides)
     threads = []  # the thread each draw ran on
@@ -390,7 +481,7 @@ def test_draws_on_the_worker_give_the_inline_records_and_bytes(scenario, overrid
     outputs = []
     for gate in (_INLINE, 0):
         threads.clear()
-        monkeypatch.setattr(harness, "_PREFETCH_MIN", gate)
+        monkeypatch.setattr(estimators, "_WIDE_MIN", gate)
         records = run_experiment(config)
         emit(aggregate(records), tmp_path / "summary.csv")
         outputs.append((records, (tmp_path / "summary.csv").read_bytes()))
@@ -425,13 +516,13 @@ def _outcome(config):
     ],
 )
 def test_a_raising_draw_raises_the_same_on_both_paths(overrides, monkeypatch):
-    from permatch import harness
+    from permatch import estimators
 
     config = _config(**overrides)
     before = threading.enumerate()
     outcomes = []
     for gate in (_INLINE, 0):
-        monkeypatch.setattr(harness, "_PREFETCH_MIN", gate)
+        monkeypatch.setattr(estimators, "_WIDE_MIN", gate)
         outcomes.append(_outcome(config))
     assert isinstance(outcomes[0][0], tuple)  # it raised
     assert outcomes[0] == outcomes[1] == (outcomes[0][0], before)
@@ -440,7 +531,7 @@ def test_a_raising_draw_raises_the_same_on_both_paths(overrides, monkeypatch):
 def test_no_draw_thread_outlives_a_run(monkeypatch):
     from permatch import estimators, harness
 
-    monkeypatch.setattr(harness, "_PREFETCH_MIN", 0)
+    monkeypatch.setattr(estimators, "_WIDE_MIN", 0)
     monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)  # one instance per batch: each raise below is mid-run
     config = _config(trials=4)
     before = threading.enumerate()
@@ -457,7 +548,7 @@ def test_no_draw_thread_outlives_a_run(monkeypatch):
 
 
 def test_a_desk_run_starts_no_thread(monkeypatch):
-    from permatch import harness
+    from permatch import estimators
 
     def refuse(self):
         raise AssertionError("a thread was started")
@@ -465,7 +556,7 @@ def test_a_desk_run_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     config = _config(n=50, d=50, trials=2)
     run_experiment(config)
-    monkeypatch.setattr(harness, "_PREFETCH_MIN", 0)
+    monkeypatch.setattr(estimators, "_WIDE_MIN", 0)
     with pytest.raises(AssertionError, match="a thread was started"):
         run_experiment(config)
 
